@@ -37,7 +37,6 @@ type config = {
   root_quota : int;
   use_path_cache : bool;
   use_io_sched : bool;
-  io_config : Hw.Io_sched.config option;
   read_ahead : int;
   trace : Multics_obs.Sink.mode;
   ctx : bool;
@@ -52,7 +51,7 @@ let default_config =
     user_vps = 4; ast_slots = 64; pt_words = 64; max_processes = 16;
     max_quota_cells = 64; scheduler = Scheduler.Round_robin { quantum = 32 };
     use_cleaner_daemon = true; root_quota = 2048; use_path_cache = true;
-    use_io_sched = true; io_config = None; read_ahead = 2;
+    use_io_sched = true; read_ahead = 2;
     trace = Multics_obs.Sink.Counters;
     ctx = true;
     faults = Hw.Fault_inject.none;
@@ -173,23 +172,17 @@ let rec boot_internal ?previous_disk cfg =
   let vp = Vp.create ?choice:cfg.choice ~machine ~meter ~tracer ~core ~n_vps:cfg.n_vps () in
   (* The overload plane's I/O knobs (retry budgets, jittered backoff,
      circuit breakers) ride on the I/O scheduler's config: merge them
-     into whatever the caller asked for.  [overload = None] leaves the
+     into the disk-derived defaults.  [overload = None] leaves the
      config untouched — bit-identical to a kernel without the plane. *)
   let io_config =
-    match cfg.overload with
-    | None -> cfg.io_config
-    | Some ov ->
-        let base =
-          match cfg.io_config with
-          | Some c -> c
-          | None -> Hw.Io_sched.config_of_disk machine.Hw.Machine.disk
-        in
-        Some
-          { base with
-            Hw.Io_sched.retry_budget = ov.ov_retry_budget;
-            backoff_jitter = ov.ov_backoff_jitter;
-            breaker_threshold = ov.ov_breaker_threshold;
-            breaker_cooldown_ns = ov.ov_breaker_cooldown_ns }
+    Option.map
+      (fun ov ->
+        { (Hw.Io_sched.config_of_disk machine.Hw.Machine.disk) with
+          Hw.Io_sched.retry_budget = ov.ov_retry_budget;
+          backoff_jitter = ov.ov_backoff_jitter;
+          breaker_threshold = ov.ov_breaker_threshold;
+          breaker_cooldown_ns = ov.ov_breaker_cooldown_ns })
+      cfg.overload
   in
   let volume =
     Volume.create ~faults:cfg.faults ?choice:cfg.choice

@@ -65,11 +65,6 @@ type config = {
       (** Route page reads and write-behinds through the per-pack
           elevator queues; [false] reproduces the seed's flat-latency
           synchronous disk protocol. *)
-  io_config : Multics_hw.Io_sched.config option;
-      (** Override the I/O scheduler's policy knobs — batch bounds,
-          deadline, anticipation, ways, read priority.  [None] (the
-          default) derives them from the disk's latencies; see
-          {!Multics_hw.Io_sched.config_of_disk}. *)
   read_ahead : int;
       (** Records prefetched after two sequential missing-page faults on
           a segment; [0] disables read-ahead. *)

@@ -243,6 +243,29 @@ let handle_write_failure t ~ptw_abs ~old_handle img err =
           repoint new_handle
       | Error `No_space -> damage ())
 
+(* Flush [img] back to [old_handle], the record of the page behind
+   [ptw_abs].  With the scheduler the write is only queued: its write
+   buffer keeps any reader of the record coherent until the sweep
+   lands.  A terminal write failure spares the record (or damages the
+   page).  The flush is work spawned on behalf of whoever forced it —
+   an eviction or the cleaner — so a child context chains it back. *)
+let write_behind t ~ptw_abs ~old_handle img =
+  let prev = Multics_obs.Sink.current t.obs in
+  let wb_ctx = Multics_obs.Sink.new_ctx t.obs ~origin:"write_behind" () in
+  Multics_obs.Sink.set_current t.obs wb_ctx;
+  Multics_obs.Sink.attribute t.obs ~ctx:wb_ctx ~cpu_ns:0 ~ios:1;
+  (if t.use_io_sched then
+     Volume.write_record_async t.volume ~caller:name ~handle:old_handle
+       ~done_:(function
+         | Ok () -> ()
+         | Error err -> handle_write_failure t ~ptw_abs ~old_handle img err)
+       img
+   else
+     match Volume.write_page t.volume ~caller:name ~handle:old_handle img with
+     | Ok () -> ()
+     | Error err -> handle_write_failure t ~ptw_abs ~old_handle img err);
+  Multics_obs.Sink.set_current t.obs prev
+
 (* A prefetched page counts as a hit once a reference is observed: a
    demand fault joining its transit, or its used bit found set when the
    frame is next scanned. *)
@@ -289,31 +312,9 @@ let evict_frame t frame =
     assert (e.record_handle >= 0);
     if Hw.Ptw.raw_modified w then begin
       t.page_writes <- t.page_writes + 1;
-      let img = Hw.Phys_mem.read_frame (mem t) frame in
-      let old_handle = e.record_handle in
-      (* Write-behind: queue the flush on the pack's elevator and free
-         the frame now.  The scheduler's write buffer keeps any reader
-         of the record coherent until the sweep lands.  A terminal
-         write failure spares the record (or damages the page).  The
-         flush is work spawned on behalf of whoever forced the
-         eviction: a child context chains it back. *)
-      let prev = Multics_obs.Sink.current t.obs in
-      let wb_ctx = Multics_obs.Sink.new_ctx t.obs ~origin:"write_behind" () in
-      Multics_obs.Sink.set_current t.obs wb_ctx;
-      Multics_obs.Sink.attribute t.obs ~ctx:wb_ctx ~cpu_ns:0 ~ios:1;
-      (if t.use_io_sched then
-         Volume.write_record_async t.volume ~caller:name ~handle:old_handle
-           ~done_:(function
-             | Ok () -> ()
-             | Error err ->
-                 handle_write_failure t ~ptw_abs ~old_handle img err)
-           img
-       else
-         match Volume.write_page t.volume ~caller:name ~handle:old_handle img
-         with
-         | Ok () -> ()
-         | Error err -> handle_write_failure t ~ptw_abs ~old_handle img err);
-      Multics_obs.Sink.set_current t.obs prev
+      (* Write-behind: queue the flush and free the frame now. *)
+      write_behind t ~ptw_abs ~old_handle:e.record_handle
+        (Hw.Phys_mem.read_frame (mem t) frame)
     end;
     Hw.Ptw.write (mem t) ptw_abs (Hw.Ptw.on_disk ~record:e.record_handle)
   end;
@@ -732,34 +733,13 @@ let cleaner_step t _vp =
            densest allocator. *)
         let w = Hw.Phys_mem.read (mem t) e.used_by in
         if Hw.Ptw.raw_modified w && not (Hw.Ptw.raw_used w) then begin
-          let img = Hw.Phys_mem.read_frame (mem t) frame in
-          let old_handle = e.record_handle in
-          let ptw_abs = e.used_by in
-          let prev = Multics_obs.Sink.current t.obs in
-          let wb_ctx =
-            Multics_obs.Sink.new_ctx t.obs ~origin:"write_behind" ()
-          in
-          Multics_obs.Sink.set_current t.obs wb_ctx;
-          Multics_obs.Sink.attribute t.obs ~ctx:wb_ctx ~cpu_ns:0 ~ios:1;
-          if t.use_io_sched then
-            Volume.write_record_async t.volume ~caller:name ~handle:old_handle
-              ~done_:(function
-                | Ok () -> ()
-                | Error err ->
-                    handle_write_failure t ~ptw_abs ~old_handle img err)
-              img
-          else begin
-            (match
-               Volume.write_page t.volume ~caller:name ~handle:old_handle img
-             with
-            | Ok () -> ()
-            | Error err -> handle_write_failure t ~ptw_abs ~old_handle img err);
+          write_behind t ~ptw_abs:e.used_by ~old_handle:e.record_handle
+            (Hw.Phys_mem.read_frame (mem t) frame);
+          if not t.use_io_sched then
             (* The daemon's own low-priority time, metered separately
                so fault-path accounting stays clean. *)
             Meter.charge_raw t.meter ~manager:"page_cleaner_daemon"
-              (Volume.io_latency_ns t.volume)
-          end;
-          Multics_obs.Sink.set_current t.obs prev;
+              (Volume.io_latency_ns t.volume);
           Hw.Phys_mem.write (mem t) e.used_by (Hw.Ptw.raw_clear_modified w);
           t.page_writes <- t.page_writes + 1;
           t.pages_cleaned <- t.pages_cleaned + 1;

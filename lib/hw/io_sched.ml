@@ -4,7 +4,6 @@ type config = {
   max_batch : int;
   max_batch_cap : int;
   deadline_ns : int;
-  anticipate_ns : int;
   pack_ways : int;
   read_priority : bool;
   seek_ns : int;
@@ -22,19 +21,10 @@ type config = {
    and keeps the starvation-bound tests fast.  The overload knobs
    (budget, jitter, breaker) default off: the plane disabled is
    bit-identical to the scheduler before it existed. *)
-let default_config =
-  { max_batch = 8; max_batch_cap = 32; deadline_ns = 512_000_000;
-    anticipate_ns = 800_000; pack_ways = 8; read_priority = true;
-    seek_ns = 1_200_000; transfer_ns = 800_000;
-    retry_limit = 4; retry_backoff_ns = 400_000;
-    retry_budget = 0; backoff_jitter = false;
-    breaker_threshold = 0; breaker_cooldown_ns = 0 }
-
 let config_of_disk disk =
   { max_batch = 8;
     max_batch_cap = 32;
     deadline_ns = 256 * Disk.io_latency_ns disk;
-    anticipate_ns = 0;
     pack_ways = 8;
     read_priority = true;
     seek_ns = Disk.seek_latency_ns disk;
@@ -77,9 +67,6 @@ type way = {
   wid : int;
   mutable head : int;  (* record after the last one this arm served *)
   mutable w_busy : bool;
-  mutable streak : int;  (* consecutive batches continued without a seek *)
-  mutable holding : bool;  (* anticipatory hold in effect *)
-  mutable hold_gen : int;  (* invalidates stale hold-expiry events *)
 }
 
 (* Per-pack circuit breaker: [Br_open]'s payload is the absolute
@@ -108,6 +95,7 @@ type stats = {
   s_reads : int;
   s_writes : int;
   s_batches : int;
+  s_dispatched : int;
   s_merges : int;
   s_max_batch : int;
   s_queue_peak : int;
@@ -116,7 +104,6 @@ type stats = {
   s_retries : int;
   s_gave_up : int;
   s_deadline_batches : int;
-  s_holds : int;
   s_grown : int;
   s_shrunk : int;
   s_buffer_hits : int;
@@ -151,6 +138,7 @@ type t = {
   mutable reads : int;
   mutable writes : int;
   mutable batches : int;
+  mutable dispatched : int;
   mutable merges : int;
   mutable max_batch_seen : int;
   mutable queue_peak : int;
@@ -159,7 +147,6 @@ type t = {
   mutable retries : int;
   mutable gave_up : int;
   mutable deadline_batches : int;
-  mutable holds : int;
   mutable grown : int;
   mutable shrunk : int;
   mutable buffer_hits : int;
@@ -196,7 +183,6 @@ let create ?config ?(faults = Fault_inject.none)
   assert (config.retry_limit > 0 && config.retry_backoff_ns > 0);
   assert (config.max_batch_cap >= config.max_batch);
   assert (config.pack_ways >= 1 && config.deadline_ns > 0);
-  assert (config.anticipate_ns >= 0);
   assert (config.retry_budget >= 0);
   assert (config.breaker_threshold = 0 || config.breaker_cooldown_ns > 0);
   { disk; config; schedule; faults; choice; now;
@@ -205,15 +191,14 @@ let create ?config ?(faults = Fault_inject.none)
           { id; breaker = Br_closed; consec_fails = 0; queue = []; depth = 0;
             ways =
               Array.init config.pack_ways (fun wid ->
-                  { wid; head = 0; w_busy = false; streak = 0;
-                    holding = false; hold_gen = 0 });
+                  { wid; head = 0; w_busy = false });
             inflight = []; retrying = []; cur_max = config.max_batch;
             kick_planted = false; busy_records = Hashtbl.create 16 });
     pending_writes = Hashtbl.create 64;
     applied_seq = Hashtbl.create 64;
-    seq = 0; reads = 0; writes = 0; batches = 0; merges = 0;
+    seq = 0; reads = 0; writes = 0; batches = 0; dispatched = 0; merges = 0;
     max_batch_seen = 0; queue_peak = 0; busy_ns = 0; cancelled = 0;
-    retries = 0; gave_up = 0; deadline_batches = 0; holds = 0;
+    retries = 0; gave_up = 0; deadline_batches = 0;
     grown = 0; shrunk = 0; buffer_hits = 0;
     timeouts = 0; fast_fails = 0; budget_denied = 0;
     br_opens = 0; br_probes = 0; br_closes = 0;
@@ -622,9 +607,10 @@ let rec deliver_chosen ~sync t p = function
       deliver_chosen ~sync t p (List.filteri (fun j _ -> j <> i) rs)
 
 let finish_batch ?(sync = false) t p batch cost =
-  t.batches <- t.batches + 1;
-  t.busy_ns <- t.busy_ns + cost;
   let size = List.length batch in
+  t.batches <- t.batches + 1;
+  t.dispatched <- t.dispatched + size;
+  t.busy_ns <- t.busy_ns + cost;
   if size > t.max_batch_seen then t.max_batch_seen <- size;
   if not (Choice.is_active t.choice) then
     List.iter (execute_req ~sync t p.id) batch
@@ -657,11 +643,7 @@ let release_records p batch =
    choice is nearest-first: the free way whose head is closest (in
    forward circular distance) to the first record the sweep would
    serve, ties to the lowest way id — a continuation always wins, so a
-   sequential stream keeps its arm.  A way that just served a
-   sequential run and would now have to seek away instead holds for
-   [anticipate_ns], betting the stream's next request is imminent; the
-   hold is one-shot per streak and other ways still serve the far
-   work, so it costs at most one hold per stream death. *)
+   sequential stream keeps its arm. *)
 let rec dispatch t p =
   (* Deadline checkpoint: cancel not-yet-issued reads whose context
      deadline has passed — the requester no longer wants the answer,
@@ -703,19 +685,9 @@ let rec dispatch t p =
     | None -> ()
     | Some (pool, rest, deadline_forced) ->
         let sorted = List.sort by_record_seq pool in
-        (* A near request ends a hold successfully: the arm was right
-           to wait.  Distance 0 is the no-seek continuation the hold
-           was betting on. *)
-        Array.iter
-          (fun w ->
-            if w.holding && way_distance t ~head:w.head sorted = 0 then begin
-              w.holding <- false;
-              w.hold_gen <- w.hold_gen + 1
-            end)
-          p.ways;
         let free =
           Array.fold_right
-            (fun w acc -> if w.w_busy || w.holding then acc else w :: acc)
+            (fun w acc -> if w.w_busy then acc else w :: acc)
             p.ways []
         in
         (* Write throttle: an unexpired write-only sweep never takes
@@ -730,44 +702,18 @@ let rec dispatch t p =
           && List.length free <= 1
         then ()
         else
-        let rec choose = function
-          | [] -> ()
-          | ways ->
-              let best =
-                List.fold_left
-                  (fun acc w ->
-                    let d = way_distance t ~head:w.head sorted in
-                    match acc with
-                    | Some (bd, (bw : way)) when (bd, bw.wid) <= (d, w.wid) ->
-                        acc
-                    | _ -> Some (d, w))
-                  None ways
-              in
-              match best with
-              | None -> ()
-              | Some (d, w) ->
-                  if
-                    d > 0 && w.streak > 0 && t.config.anticipate_ns > 0
-                    && not deadline_forced
-                  then begin
-                    (* Hold this arm; maybe another free way takes the
-                       far sweep. *)
-                    w.holding <- true;
-                    w.hold_gen <- w.hold_gen + 1;
-                    t.holds <- t.holds + 1;
-                    Multics_obs.Sink.count t.obs "io.hold";
-                    let gen = w.hold_gen in
-                    t.schedule ~delay:t.config.anticipate_ns (fun () ->
-                        if w.holding && w.hold_gen = gen then begin
-                          w.holding <- false;
-                          w.streak <- 0;  (* the stream died; stop betting *)
-                          dispatch t p
-                        end);
-                    choose (List.filter (fun x -> x != w) ways)
-                  end
-                  else launch t p w ~sorted ~rest ~deadline_forced
-        in
-        choose free
+          let best =
+            List.fold_left
+              (fun acc w ->
+                let d = way_distance t ~head:w.head sorted in
+                match acc with
+                | Some (bd, (bw : way)) when (bd, bw.wid) <= (d, w.wid) -> acc
+                | _ -> Some (d, w))
+              None free
+          in
+          match best with
+          | None -> ()
+          | Some (_, w) -> launch t p w ~sorted ~rest ~deadline_forced
   end
 
 and launch t p w ~sorted ~rest ~deadline_forced =
@@ -783,7 +729,7 @@ and launch t p w ~sorted ~rest ~deadline_forced =
   let batch, overflow = take_capped t ~cur_max ~head:w.head sweep in
   match batch with
   | [] -> ()
-  | first :: _ ->
+  | _ :: _ ->
       if deadline_forced then begin
         t.deadline_batches <- t.deadline_batches + 1;
         Multics_obs.Sink.count t.obs "io.deadline_batch"
@@ -795,9 +741,6 @@ and launch t p w ~sorted ~rest ~deadline_forced =
         t.shrunk <- t.shrunk + 1
       end;
       let cost = batch_cost t ~head:w.head batch in
-      let continued = first.record - (w.head - 1) >= 0
-                      && first.record - (w.head - 1) <= 1 in
-      w.streak <- (if continued then w.streak + 1 else 0);
       (match List.rev batch with
       | last :: _ -> w.head <- last.record + 1
       | [] -> ());
@@ -869,15 +812,16 @@ let submit t ~pack ~record op =
   kick t p;
   r
 
-(* Deliver an error completion from a fresh event, under the
-   submitter's context — the shed request still completes through the
-   normal asynchronous channel, just without touching the pack. *)
-let shed t ~err deliver =
+(* Deliver a completion from a fresh delay-0 event, under the
+   submitter's context — a shed request or a write-buffer hit still
+   completes through the normal asynchronous channel, just without
+   touching an arm. *)
+let deliver_later t deliver result =
   let ctx = Multics_obs.Sink.current t.obs in
   t.schedule ~delay:0 (fun () ->
       let prev = Multics_obs.Sink.current t.obs in
       Multics_obs.Sink.set_current t.obs ctx;
-      deliver (Error err);
+      deliver result;
       Multics_obs.Sink.set_current t.obs prev)
 
 let submit_read t ~pack ~record ~done_ =
@@ -886,12 +830,12 @@ let submit_read t ~pack ~record ~done_ =
     (* Enqueue checkpoint: the requester's deadline already passed. *)
     t.timeouts <- t.timeouts + 1;
     Multics_obs.Sink.count t.obs "io.timeout";
-    shed t ~err:Timed_out done_
+    deliver_later t done_ (Error Timed_out)
   end
   else if not (breaker_admits t (pack_state t pack)) then begin
     t.fast_fails <- t.fast_fails + 1;
     Multics_obs.Sink.count t.obs "io.fast_fail";
-    shed t ~err:Breaker_open done_
+    deliver_later t done_ (Error Breaker_open)
   end
   else
   (* Write-buffer read hit: the newest buffered image is exactly what
@@ -904,13 +848,7 @@ let submit_read t ~pack ~record ~done_ =
          && not (Disk.record_is_dead t.disk ~pack ~record) ->
       t.buffer_hits <- t.buffer_hits + 1;
       Multics_obs.Sink.count t.obs "io.buffer_hit";
-      let copy = Array.copy img in
-      let ctx = Multics_obs.Sink.current t.obs in
-      t.schedule ~delay:0 (fun () ->
-          let prev = Multics_obs.Sink.current t.obs in
-          Multics_obs.Sink.set_current t.obs ctx;
-          done_ (Ok copy);
-          Multics_obs.Sink.set_current t.obs prev)
+      deliver_later t done_ (Ok (Array.copy img))
   | _ -> ignore (submit t ~pack ~record (Read done_))
 
 let submit_write t ?done_ ~pack ~record img =
@@ -922,7 +860,7 @@ let submit_write t ?done_ ~pack ~record img =
     t.fast_fails <- t.fast_fails + 1;
     Multics_obs.Sink.count t.obs "io.fast_fail";
     match done_ with
-    | Some f -> shed t ~err:Breaker_open f
+    | Some f -> deliver_later t f (Error Breaker_open)
     | None -> ()
   end
   else
@@ -949,6 +887,21 @@ let cancel_writes t ~pack ~record =
   List.iter cancel p.retrying;
   Hashtbl.remove t.pending_writes (pack, record)
 
+(* Inline bounded retry: a blocking shim cannot wait out a backoff, so
+   it burns its attempts back to back.  [true] once an attempt would
+   succeed; [false] once the record has been declared dead. *)
+let rec retry_inline t ~fails ~pack ~record attempts =
+  if not (fails t.faults ~pack ~record) then true
+  else if attempts + 1 >= t.config.retry_limit then begin
+    t.gave_up <- t.gave_up + 1;
+    Disk.mark_dead t.disk ~pack ~record;
+    false
+  end
+  else begin
+    t.retries <- t.retries + 1;
+    retry_inline t ~fails ~pack ~record (attempts + 1)
+  end
+
 let read_now t ~pack ~record =
   if pack_is_offline t pack then Error Pack_offline
   else if Disk.record_is_dead t.disk ~pack ~record then Error Dead_record
@@ -959,70 +912,51 @@ let read_now t ~pack ~record =
         ignore (Disk.read_record t.disk ~pack ~record);
         Ok (Array.copy img)
     | _ ->
-        (* Inline bounded retry: the blocking shim cannot wait out a
-           backoff, so it burns its attempts back to back. *)
-        let rec go attempts =
-          if Fault_inject.read_attempt_fails t.faults ~pack ~record then begin
-            if attempts + 1 >= t.config.retry_limit then begin
-              t.gave_up <- t.gave_up + 1;
-              Disk.mark_dead t.disk ~pack ~record;
-              Error Dead_record
-            end
-            else begin
-              t.retries <- t.retries + 1;
-              go (attempts + 1)
-            end
-          end
-          else Ok (Disk.read_record t.disk ~pack ~record)
-        in
-        go 0
+        if retry_inline t ~fails:Fault_inject.read_attempt_fails ~pack ~record 0
+        then Ok (Disk.read_record t.disk ~pack ~record)
+        else Error Dead_record
 
 let write_now t ~pack ~record img =
   if pack_is_offline t pack then Error Pack_offline
   else if Disk.record_is_dead t.disk ~pack ~record then Error Dead_record
   else begin
     cancel_writes t ~pack ~record;
-    let rec go attempts =
-      if Fault_inject.write_attempt_fails t.faults ~pack ~record then begin
-        if attempts + 1 >= t.config.retry_limit then begin
-          t.gave_up <- t.gave_up + 1;
-          Disk.mark_dead t.disk ~pack ~record;
-          Error Dead_record
-        end
-        else begin
-          t.retries <- t.retries + 1;
-          go (attempts + 1)
-        end
-      end
-      else begin
-        Disk.write_record t.disk ~pack ~record img;
-        Hashtbl.replace t.applied_seq (pack, record) t.seq;
-        t.on_apply ~pack ~record ~acked:true img;
-        Ok ()
-      end
-    in
-    go 0
+    if retry_inline t ~fails:Fault_inject.write_attempt_fails ~pack ~record 0
+    then begin
+      Disk.write_record t.disk ~pack ~record img;
+      Hashtbl.replace t.applied_seq (pack, record) t.seq;
+      t.on_apply ~pack ~record ~acked:true img;
+      Ok ()
+    end
+    else Error Dead_record
   end
+
+(* Forget a pack's in-flight and parked work once quiesce or crash has
+   settled it: stale completion events become no-ops and every arm is
+   free again. *)
+let reset_pack p =
+  List.iter (fun (_, _, live, _, _) -> live := false) p.inflight;
+  p.inflight <- [];
+  p.retrying <- [];
+  Hashtbl.reset p.busy_records;
+  Array.iter (fun w -> w.w_busy <- false) p.ways
 
 let quiesce t =
   Array.iter
     (fun p ->
       List.iter
-        (fun (batch, cost, live, id, w) ->
+        (fun (batch, cost, live, id, _) ->
           if !live then begin
             live := false;
             Multics_obs.Sink.async_end t.obs ~tid:p.id ~cat:"io" ~name:"batch"
               ~id ();
             finish_batch ~sync:true t p batch cost
-          end;
-          w.w_busy <- false)
+          end)
         p.inflight;
-      p.inflight <- [];
-      Hashtbl.reset p.busy_records;
       (* Backoff-parked requests can't wait out their delay either;
          finish them inline with the bounded sync retry. *)
       let parked = p.retrying in
-      p.retrying <- [];
+      reset_pack p;
       List.iter
         (fun r ->
           execute_req ~sync:true t p.id r;
@@ -1049,14 +983,7 @@ let quiesce t =
             finish_batch ~sync:true t p batch cost;
             drain ()
       in
-      drain ();
-      Array.iter
-        (fun w ->
-          w.w_busy <- false;
-          w.holding <- false;
-          w.hold_gen <- w.hold_gen + 1;
-          w.streak <- 0)
-        p.ways)
+      drain ())
     t.packs
 
 let crash t ~surviving_writes =
@@ -1101,17 +1028,7 @@ let crash t ~surviving_writes =
       p.depth <- 0;
       p.breaker <- Br_closed;
       p.consec_fails <- 0;
-      List.iter (fun (_, _, live, _, _) -> live := false) p.inflight;
-      p.inflight <- [];
-      p.retrying <- [];
-      Hashtbl.reset p.busy_records;
-      Array.iter
-        (fun w ->
-          w.w_busy <- false;
-          w.holding <- false;
-          w.hold_gen <- w.hold_gen + 1;
-          w.streak <- 0)
-        p.ways)
+      reset_pack p)
     t.packs;
   Hashtbl.reset t.pending_writes;
   List.length ordered
@@ -1126,10 +1043,10 @@ let breaker_state t ~pack =
 
 let stats t =
   { s_reads = t.reads; s_writes = t.writes; s_batches = t.batches;
-    s_merges = t.merges; s_max_batch = t.max_batch_seen;
+    s_dispatched = t.dispatched; s_merges = t.merges; s_max_batch = t.max_batch_seen;
     s_queue_peak = t.queue_peak; s_busy_ns = t.busy_ns;
     s_cancelled = t.cancelled; s_retries = t.retries; s_gave_up = t.gave_up;
-    s_deadline_batches = t.deadline_batches; s_holds = t.holds;
+    s_deadline_batches = t.deadline_batches;
     s_grown = t.grown; s_shrunk = t.shrunk; s_buffer_hits = t.buffer_hits;
     s_timeouts = t.timeouts; s_fast_fails = t.fast_fails;
     s_budget_denied = t.budget_denied; s_breaker_opens = t.br_opens;
@@ -1137,4 +1054,4 @@ let stats t =
 
 let mean_batch s =
   if s.s_batches = 0 then 0.0
-  else float_of_int (s.s_reads + s.s_writes) /. float_of_int s.s_batches
+  else float_of_int s.s_dispatched /. float_of_int s.s_batches

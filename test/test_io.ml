@@ -65,7 +65,7 @@ let test_elevator_order () =
    one at a time. *)
 let legacy ~max_batch =
   { Hw.Io_sched.max_batch; max_batch_cap = max_batch;
-    deadline_ns = max_int; anticipate_ns = 0; pack_ways = 1;
+    deadline_ns = max_int; pack_ways = 1;
     read_priority = false; seek_ns = 1_000; transfer_ns = 100;
     retry_limit = 3; retry_backoff_ns = 100;
     retry_budget = 0; backoff_jitter = false; breaker_threshold = 0;
@@ -194,7 +194,7 @@ let test_deadline_starvation_bound () =
   let deadline = 10_000 in
   let config =
     { Hw.Io_sched.max_batch = 4; max_batch_cap = 4; deadline_ns = deadline;
-      anticipate_ns = 0; pack_ways = 1; read_priority = true;
+      pack_ways = 1; read_priority = true;
       seek_ns = 1_000; transfer_ns = 100; retry_limit = 3;
       retry_backoff_ns = 100;
     retry_budget = 0; backoff_jitter = false; breaker_threshold = 0;
@@ -235,7 +235,7 @@ let test_deadline_starvation_bound () =
 let test_adaptive_batch_grow_shrink () =
   let config =
     { Hw.Io_sched.max_batch = 2; max_batch_cap = 8; deadline_ns = max_int;
-      anticipate_ns = 0; pack_ways = 1; read_priority = false;
+      pack_ways = 1; read_priority = false;
       seek_ns = 1_000; transfer_ns = 100; retry_limit = 3;
       retry_backoff_ns = 100;
     retry_budget = 0; backoff_jitter = false; breaker_threshold = 0;
@@ -278,17 +278,29 @@ let test_write_buffer_read_hit () =
     "buffered image, delivered before the sweep"
     [ ("hit", 9); ("arm", 0) ]
     (List.rev !order);
-  check Alcotest.int "counted as a buffer hit" 1
-    (Hw.Io_sched.stats io).Hw.Io_sched.s_buffer_hits;
+  let s = Hw.Io_sched.stats io in
+  check Alcotest.int "counted as a buffer hit" 1 s.Hw.Io_sched.s_buffer_hits;
   check Alcotest.int "write-behind still lands" 9
-    (Hw.Disk.read_record disk ~pack:0 ~record:5).(0)
+    (Hw.Disk.read_record disk ~pack:0 ~record:5).(0);
+  (* The hit joins no sweep: the same traffic without it dispatches the
+     same requests in the same batches. *)
+  check Alcotest.int "only the arm read and the write were dispatched" 2
+    s.Hw.Io_sched.s_dispatched;
+  let machine, _, control = rig () in
+  Hw.Io_sched.submit_write control ~pack:0 ~record:5 (page [ 9 ]);
+  Hw.Io_sched.submit_read control ~pack:0 ~record:6 ~done_:(fun r ->
+      ignore (expect r));
+  Hw.Machine.run machine;
+  check (Alcotest.float 0.0) "a buffer hit leaves mean_batch unchanged"
+    (Hw.Io_sched.mean_batch (Hw.Io_sched.stats control))
+    (Hw.Io_sched.mean_batch s)
 
 (* Cancellation and the quiesce barrier under the multi-way deadline
    configuration — the paths the C2/C4 benches rely on. *)
 let test_cancel_quiesce_multiway () =
   let config =
     { Hw.Io_sched.max_batch = 4; max_batch_cap = 8; deadline_ns = 50_000;
-      anticipate_ns = 0; pack_ways = 4; read_priority = true;
+      pack_ways = 4; read_priority = true;
       seek_ns = 1_000; transfer_ns = 100; retry_limit = 3;
       retry_backoff_ns = 100;
     retry_budget = 0; backoff_jitter = false; breaker_threshold = 0;
@@ -415,20 +427,24 @@ let cramped use_io_sched read_ahead use_cleaner_daemon =
     K.Kernel.hw = Hw.Hw_config.with_frames Hw.Hw_config.kernel_multics 64;
     core_frames = 24; use_io_sched; read_ahead; use_cleaner_daemon }
 
+(* Fill >home>f, then read it back in a second process; returns the
+   writer's pid, which the kernel stamps into every word it writes. *)
 let seq_workload k =
-  ignore
-    (K.Kernel.spawn k ~pname:"writer"
-       (K.Workload.concat
-          [ [| K.Workload.Create_file { dir = ">home"; name = "f" };
-               K.Workload.Initiate { path = ">home>f"; reg = 0 } |];
-            K.Workload.sequential_write ~seg_reg:0 ~pages:48 ]));
+  let writer =
+    K.Kernel.spawn k ~pname:"writer"
+      (K.Workload.concat
+         [ [| K.Workload.Create_file { dir = ">home"; name = "f" };
+              K.Workload.Initiate { path = ">home>f"; reg = 0 } |];
+           K.Workload.sequential_write ~seg_reg:0 ~pages:48 ])
+  in
   Alcotest.(check bool) "writer completed" true (K.Kernel.run_to_completion k);
   ignore
     (K.Kernel.spawn k ~pname:"reader"
        (K.Workload.concat
           [ [| K.Workload.Initiate { path = ">home>f"; reg = 0 } |];
             K.Workload.sequential_read ~seg_reg:0 ~pages:48 ]));
-  Alcotest.(check bool) "reader completed" true (K.Kernel.run_to_completion k)
+  Alcotest.(check bool) "reader completed" true (K.Kernel.run_to_completion k);
+  writer
 
 let boot_home config =
   let k = K.Kernel.boot config in
@@ -462,7 +478,7 @@ let disk_image k =
 let test_async_equals_sync () =
   let run cfg =
     let k = boot_home cfg in
-    seq_workload k;
+    ignore (seq_workload k);
     K.Kernel.shutdown k;
     disk_image k
   in
@@ -476,7 +492,7 @@ let test_async_equals_sync () =
 
 let test_read_ahead_hits () =
   let k = boot_home (cramped true 2 true) in
-  seq_workload k;
+  ignore (seq_workload k);
   let pfm = K.Kernel.page_frame k in
   Alcotest.(check bool) "read-ahead issued" true
     (K.Page_frame.prefetch_issued pfm > 0);
@@ -488,12 +504,69 @@ let test_read_ahead_hits () =
    and every read-ahead must be dropped rather than evict. *)
 let test_read_ahead_low_water () =
   let k = boot_home (cramped true 2 false) in
-  seq_workload k;
+  ignore (seq_workload k);
   let pfm = K.Kernel.page_frame k in
   Alcotest.(check bool) "attempts were made" true
     (K.Page_frame.prefetch_issued pfm + K.Page_frame.prefetch_dropped pfm > 0);
   Alcotest.(check int) "every read-ahead dropped at the low-water mark" 0
     (K.Page_frame.prefetch_issued pfm)
+
+(* A write-behind that fails terminally must spare the record, not lose
+   the page.  Eviction (cleaner off) and the cleaner daemon (on) flush
+   through one write-behind routine; both runs must re-home the image.
+   Allocation is deterministic up to the first failure, so a fault-free
+   dry run names the records the file's first pages will get. *)
+let file_map k ~pages =
+  let d = (K.Kernel.machine k).Hw.Machine.disk in
+  let maps = ref [] in
+  for pack = 0 to Hw.Disk.n_packs d - 1 do
+    List.iter
+      (fun (_, (e : Hw.Disk.vtoc_entry)) ->
+        if
+          (not e.Hw.Disk.is_directory) && (not e.Hw.Disk.is_process_state)
+          && e.Hw.Disk.len_pages = pages
+        then maps := Array.sub e.Hw.Disk.file_map 0 pages :: !maps)
+      (Hw.Disk.vtoc_entries d ~pack)
+  done;
+  match !maps with
+  | [ m ] -> m
+  | _ -> Alcotest.fail "expected exactly one file of that size"
+
+let test_write_behind_spares use_cleaner_daemon () =
+  let cfg = cramped true 0 use_cleaner_daemon in
+  let dry = boot_home cfg in
+  ignore (seq_workload dry);
+  K.Kernel.shutdown dry;
+  let bad = Array.to_list (Array.sub (file_map dry ~pages:48) 0 4) in
+  let faults = Hw.Fault_inject.create () in
+  List.iter
+    (fun h ->
+      Hw.Fault_inject.bad_record faults ~pack:(Hw.Disk.pack_of_handle h)
+        ~record:(Hw.Disk.record_of_handle h))
+    bad;
+  let k = boot_home { cfg with K.Kernel.faults } in
+  let writer = seq_workload k in
+  let pfm = K.Kernel.page_frame k in
+  check Alcotest.bool "flushed by the path under test" use_cleaner_daemon
+    (K.Page_frame.pages_cleaned pfm > 0);
+  check Alcotest.int "no process failed" 0
+    (K.User_process.failed (K.Kernel.user_process k));
+  let io = K.Kernel.io_stats k in
+  check Alcotest.bool "records spared" true (io.K.Kernel.io_spared >= 1);
+  check Alcotest.int "no page damaged" 0 io.K.Kernel.io_damaged;
+  check Alcotest.(list string) "invariants hold" [] (K.Invariants.check k);
+  K.Kernel.shutdown k;
+  let d = (K.Kernel.machine k).Hw.Machine.disk in
+  Array.iteri
+    (fun pageno h ->
+      check Alcotest.bool "file map left the bad records" false
+        (List.mem h bad);
+      check Alcotest.int
+        (Printf.sprintf "page %d re-reads the written data" pageno)
+        ((writer * 1000) + pageno + 1)
+        (Hw.Disk.read_record d ~pack:(Hw.Disk.pack_of_handle h)
+           ~record:(Hw.Disk.record_of_handle h)).(0))
+    (file_map k ~pages:48)
 
 let tests =
   [ Alcotest.test_case "elevator order" `Quick test_elevator_order;
@@ -518,5 +591,9 @@ let tests =
     Alcotest.test_case "crash tears writes" `Quick test_crash_tears_writes;
     Alcotest.test_case "async equals sync" `Quick test_async_equals_sync;
     Alcotest.test_case "read-ahead hits" `Quick test_read_ahead_hits;
-    Alcotest.test_case "read-ahead low water" `Quick test_read_ahead_low_water
+    Alcotest.test_case "read-ahead low water" `Quick test_read_ahead_low_water;
+    Alcotest.test_case "eviction write-behind spares" `Quick
+      (test_write_behind_spares false);
+    Alcotest.test_case "cleaner write-behind spares" `Quick
+      (test_write_behind_spares true)
   ]
