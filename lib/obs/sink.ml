@@ -27,7 +27,7 @@ type slo = {
 type usage = { mutable u_cpu_ns : int; mutable u_ios : int }
 
 type t = {
-  mutable md : mode;
+  md : mode;
   clock : unit -> int;
   ring : Trace_buf.t;
   flight : Trace_buf.t;
@@ -55,6 +55,8 @@ type t = {
 
 let create ?(mode = Counters) ?(capacity = 16384) ?(flight_capacity = 256)
     ?(ctx = true) ~now () =
+  (* Only [Full] ever writes the big ring: any other mode gets one slot. *)
+  let capacity = if mode = Full then capacity else 1 in
   { md = mode; clock = now; ring = Trace_buf.create ~capacity ();
     flight = Trace_buf.create ~capacity:flight_capacity ();
     histo_tbl = Hashtbl.create 32; histo_order = [];
@@ -68,11 +70,10 @@ let create ?(mode = Counters) ?(capacity = 16384) ?(flight_capacity = 256)
     user_tbl = Hashtbl.create 16 }
 
 let disabled () =
-  create ~mode:Off ~capacity:1 ~flight_capacity:1 ~ctx:false
+  create ~mode:Off ~flight_capacity:1 ~ctx:false
     ~now:(fun () -> 0) ()
 
 let mode t = t.md
-let set_mode t m = t.md <- m
 let counting t = t.md <> Off
 let recording t = t.md = Full
 let now t = t.clock ()
@@ -255,32 +256,67 @@ let phase_code = function
   | Trace_buf.Instant -> "i"
   | Trace_buf.Counter -> "C"
 
-let pp_ctx_chain t ppf ctx =
-  List.iteri
-    (fun i id ->
-      if i > 0 then Format.fprintf ppf "<-";
-      Format.fprintf ppf "%d:%s" id (ctx_origin t id))
-    (ctx_chain t ctx)
+let add_int b n = Buffer.add_string b (string_of_int n)
 
+let add_spaces b n =
+  for _ = 1 to n do
+    Buffer.add_char b ' '
+  done
+
+(* [%*d] and [%-*d]: [n] padded with spaces to [width] columns. *)
+let add_int_right b ~width n =
+  let s = string_of_int n in
+  add_spaces b (width - String.length s);
+  Buffer.add_string b s
+
+let add_int_left b ~width n =
+  let s = string_of_int n in
+  Buffer.add_string b s;
+  add_spaces b (width - String.length s)
+
+(* [id:origin<-parent:origin<-...<-root:origin], walked in place;
+   [sep] goes before each link. *)
+let rec add_ctx_chain t b ~sep id =
+  if id > 0 && id <= t.ctx_n then begin
+    Buffer.add_string b sep;
+    add_int b id;
+    Buffer.add_char b ':';
+    Buffer.add_string b t.ctx_origin.(id);
+    add_ctx_chain t b ~sep:"<-" t.ctx_parent.(id)
+  end
+
+(* One line per event, in the layout
+   [%12d t%-2d <phase> <cat>:<name>[ id=%d][ arg=%d][ ctx=<chain>]]. *)
 let flight_dump t =
-  let b = Buffer.create 1024 in
-  let ppf = Format.formatter_of_buffer b in
-  Format.fprintf ppf "flight recorder: %d events (%d overwritten)@."
-    (Trace_buf.length t.flight)
-    (Trace_buf.dropped t.flight);
+  let b = Buffer.create (64 * (Trace_buf.length t.flight + 1)) in
+  Buffer.add_string b "flight recorder: ";
+  add_int b (Trace_buf.length t.flight);
+  Buffer.add_string b " events (";
+  add_int b (Trace_buf.dropped t.flight);
+  Buffer.add_string b " overwritten)\n";
   Trace_buf.iter t.flight (fun ev ->
-      Format.fprintf ppf "%12d t%-2d %s %s:%s" ev.Trace_buf.ev_time
-        ev.Trace_buf.ev_tid
-        (phase_code ev.Trace_buf.ev_phase)
-        ev.Trace_buf.ev_cat ev.Trace_buf.ev_name;
-      if ev.Trace_buf.ev_id <> 0 then
-        Format.fprintf ppf " id=%d" ev.Trace_buf.ev_id;
-      if ev.Trace_buf.ev_arg <> 0 then
-        Format.fprintf ppf " arg=%d" ev.Trace_buf.ev_arg;
-      if ev.Trace_buf.ev_ctx <> 0 then
-        Format.fprintf ppf " ctx=%a" (pp_ctx_chain t) ev.Trace_buf.ev_ctx;
-      Format.fprintf ppf "@.");
-  Format.pp_print_flush ppf ();
+      add_int_right b ~width:12 ev.Trace_buf.ev_time;
+      Buffer.add_string b " t";
+      add_int_left b ~width:2 ev.Trace_buf.ev_tid;
+      Buffer.add_char b ' ';
+      Buffer.add_string b (phase_code ev.Trace_buf.ev_phase);
+      Buffer.add_char b ' ';
+      Buffer.add_string b ev.Trace_buf.ev_cat;
+      Buffer.add_char b ':';
+      Buffer.add_string b ev.Trace_buf.ev_name;
+      if ev.Trace_buf.ev_id <> 0 then begin
+        Buffer.add_string b " id=";
+        add_int b ev.Trace_buf.ev_id
+      end;
+      if ev.Trace_buf.ev_arg <> 0 then begin
+        Buffer.add_string b " arg=";
+        add_int b ev.Trace_buf.ev_arg
+      end;
+      if ev.Trace_buf.ev_ctx <> 0 then begin
+        Buffer.add_string b " ctx=";
+        add_ctx_chain t b ~sep:"" ev.Trace_buf.ev_ctx
+      end;
+      Buffer.add_char b '\n');
   Buffer.contents b
 
 let note_dump t ~reason =

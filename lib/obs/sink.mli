@@ -42,13 +42,15 @@ val create :
   now:(unit -> int) -> unit -> t
 (** [now] supplies simulated-time timestamps (wire it to the machine
     clock).  Default mode [Counters], default ring capacity 16384,
-    default flight-ring capacity 256, context tracking on ([ctx]). *)
+    default flight-ring capacity 256, context tracking on ([ctx]).
+    The mode is fixed for the sink's life, and the big event ring is
+    allocated at [capacity] only in [Full]: any other mode never
+    writes it and gets a single slot. *)
 
 val disabled : unit -> t
 (** A permanently-[Off] sink for components built without one. *)
 
 val mode : t -> mode
-val set_mode : t -> mode -> unit
 
 val counting : t -> bool
 (** [mode <> Off]. *)

@@ -104,17 +104,64 @@ let test_sdw_permits () =
 
 let test_phys_mem_rw () =
   let mem = Hw.Phys_mem.create ~frames:4 in
+  let last = Hw.Addr.page_size - 1 in
+  for n = 0 to 3 do
+    let base = Hw.Addr.frame_base n in
+    check Alcotest.int "fresh first word" 0 (Hw.Phys_mem.read mem base);
+    check Alcotest.int "fresh last word" 0 (Hw.Phys_mem.read mem (base + last));
+    check Alcotest.bool "untouched frame is zero" true
+      (Hw.Phys_mem.frame_is_zero mem n)
+  done;
+  (* Frames share one zero frame until written: a copy read from an
+     untouched frame must not alias it. *)
+  let other = Hw.Phys_mem.create ~frames:2 in
+  let img = Hw.Phys_mem.read_frame mem 1 in
+  img.(0) <- 5;
+  img.(last) <- 6;
+  check Alcotest.int "copy is not the frame" 0 (Hw.Phys_mem.read mem 1024);
+  check Alcotest.int "nor its last word" 0
+    (Hw.Phys_mem.read mem (1024 + last));
+  check Alcotest.int "nor another frame" 0 (Hw.Phys_mem.read mem 3072);
+  check Alcotest.int "nor another memory" 0 (Hw.Phys_mem.read other 0);
+  check Alcotest.bool "frame 1 still zero" true
+    (Hw.Phys_mem.frame_is_zero mem 1);
+  check Alcotest.bool "other memory still zero" true
+    (Hw.Phys_mem.frame_is_zero other 0);
+  check Alcotest.int "a second copy is zero" 0
+    (Hw.Phys_mem.read_frame mem 3).(0);
+  Hw.Phys_mem.write_frame mem 3 img;
+  img.(0) <- 7;
+  check Alcotest.int "write_frame copies in" 5 (Hw.Phys_mem.read mem 3072);
+  check Alcotest.int "write_frame last word" 6
+    (Hw.Phys_mem.read mem (3072 + last));
+  check Alcotest.int "neighbour untouched" 0 (Hw.Phys_mem.read mem 2048);
   Hw.Phys_mem.write mem 2048 0o777;
   check Alcotest.int "read back" 0o777 (Hw.Phys_mem.read mem 2048);
   check Alcotest.bool "frame 2 nonzero" false (Hw.Phys_mem.frame_is_zero mem 2);
+  check Alcotest.bool "other memory unchanged" true
+    (Hw.Phys_mem.frame_is_zero other 0);
   Hw.Phys_mem.zero_frame mem 2;
-  check Alcotest.bool "frame 2 zero" true (Hw.Phys_mem.frame_is_zero mem 2)
+  check Alcotest.bool "frame 2 zero" true (Hw.Phys_mem.frame_is_zero mem 2);
+  Hw.Phys_mem.zero_frame mem 0;
+  check Alcotest.bool "zeroing an untouched frame" true
+    (Hw.Phys_mem.frame_is_zero mem 0)
 
 let test_phys_mem_bounds () =
   let mem = Hw.Phys_mem.create ~frames:1 in
   Alcotest.check_raises "oob read"
     (Invalid_argument "Phys_mem.read: address 1024 out of range") (fun () ->
-      ignore (Hw.Phys_mem.read mem Hw.Addr.page_size))
+      ignore (Hw.Phys_mem.read mem Hw.Addr.page_size));
+  Alcotest.check_raises "negative read"
+    (Invalid_argument "Phys_mem.read: address -1 out of range") (fun () ->
+      ignore (Hw.Phys_mem.read mem (-1)));
+  Alcotest.check_raises "oob write"
+    (Invalid_argument "Phys_mem.write: address 1024 out of range") (fun () ->
+      Hw.Phys_mem.write mem Hw.Addr.page_size 1);
+  Alcotest.check_raises "negative write"
+    (Invalid_argument "Phys_mem.write: address -1 out of range") (fun () ->
+      Hw.Phys_mem.write mem (-1) 1);
+  check Alcotest.bool "failed writes leave the frame zero" true
+    (Hw.Phys_mem.frame_is_zero mem 0)
 
 (* ------------------------------------------------------------------ *)
 (* CPU translation *)

@@ -322,6 +322,46 @@ let test_ctx_basics () =
     [ ("alice", (100, 3)) ]
     (Obs.Sink.by_user sink)
 
+(* The flight dump's exact bytes, recorded before its formatter was
+   rewritten: a wrapped ring (two events overwritten), every phase but
+   Counter, [id=] and [arg=] (negative too), tids wider than their
+   column, times wider than theirs, and context chains of one to three
+   hops. *)
+let test_flight_dump_golden () =
+  let clock = ref 0 in
+  let sink =
+    Obs.Sink.create ~mode:Obs.Sink.Counters ~flight_capacity:5
+      ~now:(fun () -> !clock) ()
+  in
+  let root = Obs.Sink.new_ctx sink ~parent:0 ~origin:"alice" () in
+  Obs.Sink.set_current sink root;
+  let child = Obs.Sink.new_ctx sink ~origin:"hcs_$initiate" () in
+  let grand = Obs.Sink.new_ctx sink ~parent:child ~origin:"missing_page" () in
+  Obs.Sink.instant sink ~cat:"t" ~name:"lost0" ();
+  clock := 5;
+  Obs.Sink.instant sink ~cat:"t" ~name:"lost1" ();
+  clock := 1_000;
+  let sp = Obs.Sink.span_begin sink ~tid:3 ~cat:"vp" ~name:"step" () in
+  Obs.Sink.set_current sink grand;
+  clock := 2_500;
+  Obs.Sink.async_begin sink ~tid:12 ~arg:77 ~cat:"io" ~name:"read" ~id:9 ();
+  Obs.Sink.set_current sink 0;
+  clock := 123_456_789;
+  Obs.Sink.instant sink ~tid:100 ~arg:(-4) ~cat:"pfm" ~name:"evict" ();
+  Obs.Sink.set_current sink child;
+  clock := 1_234_567_890_123;
+  Obs.Sink.async_end sink ~tid:12 ~cat:"io" ~name:"read" ~id:9 ();
+  Obs.Sink.span_end sink sp;
+  check Alcotest.string "flight dump bytes"
+    "flight recorder: 5 events (2 overwritten)\n\
+    \        1000 t3  B vp:step ctx=1:alice\n\
+    \        2500 t12 b io:read id=9 arg=77 \
+     ctx=3:missing_page<-2:hcs_$initiate<-1:alice\n\
+    \   123456789 t100 i pfm:evict arg=-4\n\
+     1234567890123 t12 e io:read id=9 ctx=2:hcs_$initiate<-1:alice\n\
+     1234567890123 t3  E vp:step ctx=2:hcs_$initiate<-1:alice\n"
+    (Obs.Sink.flight_dump sink)
+
 (* The cramped machine from the I/O tests: 40 pageable frames, a
    48-page file written then read back, so the read pass faults, the
    elevator serves it, and read-ahead prefetches.  Every record's
@@ -501,6 +541,8 @@ let tests =
     Alcotest.test_case "ctx alloc-free when off" `Quick
       test_ctx_off_allocation_free;
     Alcotest.test_case "ctx chains + attribution" `Quick test_ctx_basics;
+    Alcotest.test_case "flight dump golden bytes" `Quick
+      test_flight_dump_golden;
     Alcotest.test_case "ctx crosses faults, retries, read-ahead" `Quick
       test_ctx_propagation;
     Alcotest.test_case "critical path extraction" `Quick test_critical_path;
