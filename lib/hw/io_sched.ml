@@ -60,6 +60,27 @@ type req = {
 
 let is_read r = match r.op with Read _ -> true | Write _ -> false
 
+(* Sweep order: by record, then submission sequence, so same-record
+   requests keep submission order within a sweep. *)
+module By_pos = struct
+  type t = req
+
+  let compare a b =
+    match Int.compare a.record b.record with
+    | 0 -> Int.compare a.seq b.seq
+    | c -> c
+end
+
+module Pos = Set.Make (By_pos)
+
+(* Age order.  [submitted] never falls as [seq] rises, so the requests
+   past any age are a prefix of this order. *)
+module Age = Set.Make (struct
+  type t = req
+
+  let compare a b = Int.compare a.seq b.seq
+end)
+
 (* One independent actuator of a pack.  Several ways share the pack's
    queue but keep their own head positions, so a sequential stream can
    hold one arm at its track while the others absorb unrelated work. *)
@@ -77,8 +98,12 @@ type pack_state = {
   id : int;
   mutable breaker : breaker;
   mutable consec_fails : int;  (* consecutive failed service attempts *)
-  mutable queue : req list;  (* undispatched; order irrelevant, seq decides *)
-  mutable depth : int;  (* List.length queue, maintained incrementally *)
+  (* The undispatched requests, indexed three ways: reads and writes
+     each in sweep order, and all of them in age order. *)
+  mutable reads : Pos.t;
+  mutable writes : Pos.t;
+  mutable age : Age.t;
+  mutable depth : int;  (* Age.cardinal age, maintained incrementally *)
   ways : way array;
   (* in-flight sweeps: batch, cost, live, span id, way *)
   mutable inflight : (req list * int * bool ref * int * way) list;
@@ -188,7 +213,8 @@ let create ?config ?(faults = Fault_inject.none)
   { disk; config; schedule; faults; choice; now;
     packs =
       Array.init (Disk.n_packs disk) (fun id ->
-          { id; breaker = Br_closed; consec_fails = 0; queue = []; depth = 0;
+          { id; breaker = Br_closed; consec_fails = 0; reads = Pos.empty;
+            writes = Pos.empty; age = Age.empty; depth = 0;
             ways =
               Array.init config.pack_ways (fun wid ->
                   { wid; head = 0; w_busy = false });
@@ -339,24 +365,62 @@ let budget_allows t (r : req) =
 
 (* ------------------------------------------------------------------ *)
 (* The elevator: each sweep is one circular pass (C-SCAN) from a way's
-   head position.  Requests sort by (record, submission sequence);
+   head position.  Requests go in (record, submission sequence) order;
    those at or past the head go first, then the sweep wraps.
-   Same-record requests keep submission order — within a sweep by the
-   sort, across concurrent ways by the busy-record bar — so
-   read-your-writes holds within the queue. *)
+   Same-record requests keep submission order — within a sweep by that
+   order, across concurrent ways by the busy-record bar — so
+   read-your-writes holds within the queue.
 
-let by_record_seq a b =
-  match compare a.record b.record with 0 -> compare a.seq b.seq | c -> c
+   The queue is indexed, never sorted: a sweep is walked lazily out of
+   the per-pack sets from the head, so a dispatch costs O(log n) per
+   request it takes, not a pass over everything queued. *)
 
-let sweep_from ~head sorted =
-  let ahead, behind = List.partition (fun r -> r.record >= head) sorted in
-  ahead @ behind
+let enqueue (p : pack_state) r =
+  if is_read r then p.reads <- Pos.add r p.reads
+  else p.writes <- Pos.add r p.writes;
+  p.age <- Age.add r p.age;
+  p.depth <- p.depth + 1
 
-let rec split_batch n acc rest =
-  match rest with
-  | _ when n = 0 -> (List.rev acc, rest)
-  | [] -> (List.rev acc, [])
-  | r :: tl -> split_batch (n - 1) (r :: acc) tl
+let dequeue (p : pack_state) r =
+  if is_read r then p.reads <- Pos.remove r p.reads
+  else p.writes <- Pos.remove r p.writes;
+  p.age <- Age.remove r p.age;
+  p.depth <- p.depth - 1
+
+(* The requests a sweep may draw from: one sweep-ordered set, or the
+   merge of two. *)
+type pool = One of Pos.t | Both of Pos.t * Pos.t
+
+(* Orders before every request at [record] or past it. *)
+let probe_op = Read ignore
+
+let probe record =
+  { seq = min_int; record; submitted = 0; op = probe_op; req_ctx = 0;
+    cancelled = false; attempts = 0 }
+
+let rec merge xs ys () =
+  match xs () with
+  | Seq.Nil -> ys ()
+  | Seq.Cons (x, xs') as nx -> (
+      match ys () with
+      | Seq.Nil -> nx
+      | Seq.Cons (y, ys') as ny ->
+          if By_pos.compare x y <= 0
+          then Seq.Cons (x, merge xs' (fun () -> ny))
+          else Seq.Cons (y, merge (fun () -> nx) ys'))
+
+(* The pool in sweep order from [head], wrapping, without the requests
+   whose record an in-flight sweep holds. *)
+let sweep (p : pack_state) pool ~head =
+  let from s = Pos.to_seq_from (probe head) s in
+  let below s = Seq.take_while (fun r -> r.record < head) (Pos.to_seq s) in
+  let all =
+    match pool with
+    | One s -> Seq.append (from s) (below s)
+    | Both (a, b) ->
+        Seq.append (merge (from a) (from b)) (merge (below a) (below b))
+  in
+  Seq.filter (fun r -> not (Hashtbl.mem p.busy_records r.record)) all
 
 (* Take up to [cur_max] requests off a sweep, but past the baseline
    [max_batch] only while the accumulated service cost stays under the
@@ -366,55 +430,62 @@ let rec split_batch n acc rest =
    reads of the arm during a random write flood. *)
 let take_capped t ~cur_max ~head sweep =
   let cap = t.config.max_batch * (t.config.seek_ns + t.config.transfer_ns) in
-  let rec go n cost prev acc rest =
-    match rest with
-    | [] -> (List.rev acc, [])
-    | r :: tl ->
-        if n >= cur_max then (List.rev acc, rest)
-        else
+  let rec go n cost prev acc sweep =
+    if n >= cur_max then List.rev acc
+    else
+      match sweep () with
+      | Seq.Nil -> List.rev acc
+      | Seq.Cons (r, rest) ->
           let step =
             if r.record - prev >= 0 && r.record - prev <= 1
             then t.config.transfer_ns
             else t.config.seek_ns + t.config.transfer_ns
           in
-          if n >= t.config.max_batch && cost + step > cap then
-            (List.rev acc, rest)
-          else go (n + 1) (cost + step) r.record (r :: acc) tl
+          if n >= t.config.max_batch && cost + step > cap then List.rev acc
+          else go (n + 1) (cost + step) r.record (r :: acc) rest
   in
   go 0 0 (head - 1) [] sweep
 
-(* The requests a new sweep may draw from, and those it must leave
-   queued.  Deadline first: once any request has aged past
-   [deadline_ns] the sweep serves only expired requests, oldest region
-   of the queue — C-SCAN can orbit a hot region forever, this is the
-   starvation bound.  Otherwise reads go before write-behind: a VP is
-   blocked on every read while nobody waits for a write, and the
-   pending-write table keeps reordered readers coherent. *)
-let select_pool t p =
-  let blocked, avail =
-    List.partition (fun r -> Hashtbl.mem p.busy_records r.record) p.queue
-  in
-  if avail = [] then None
-  else begin
-    let now = t.now () in
-    let expired =
-      List.filter (fun r -> now - r.submitted >= t.config.deadline_ns) avail
-    in
-    match expired with
-    | _ :: _ ->
-        let fresh =
-          List.filter (fun r -> now - r.submitted < t.config.deadline_ns) avail
+(* The pool a new sweep draws from, whether it holds a read, and
+   whether the deadline forced it.  Deadline first: once an unbarred
+   request has aged past [deadline_ns] the sweep serves only expired
+   requests, in elevator order among themselves — C-SCAN can orbit a
+   hot region forever, this is the starvation bound.  Otherwise reads
+   go before write-behind: a VP is blocked on every read while nobody
+   waits for a write, and the pending-write table keeps reordered
+   readers coherent.  Only a passed deadline builds anything; the
+   common path reads the indexes as they stand. *)
+let select_pool t (p : pack_state) =
+  let unbarred r = not (Hashtbl.mem p.busy_records r.record) in
+  let now = t.now () in
+  let expired r = now - r.submitted >= t.config.deadline_ns in
+  let forced =
+    match Age.min_elt_opt p.age with
+    | Some oldest when expired oldest ->
+        let rec collect s has_read rs =
+          match rs () with
+          | Seq.Cons (r, rest) when expired r ->
+              if unbarred r then
+                collect (Pos.add r s) (has_read || is_read r) rest
+              else collect s has_read rest
+          | _ -> (s, has_read)
         in
-        Some (expired, blocked @ fresh, true)
-    | [] ->
-        if not t.config.read_priority then Some (avail, blocked, false)
-        else begin
-          let reads, writes = List.partition is_read avail in
-          match reads with
-          | [] -> Some (avail, blocked, false)
-          | _ -> Some (reads, blocked @ writes, false)
-        end
-  end
+        let s, has_read = collect Pos.empty false (Age.to_seq p.age) in
+        if Pos.is_empty s then None else Some (One s, has_read, true)
+    | _ -> None
+  in
+  match forced with
+  | Some _ -> forced
+  | None ->
+      let has_read = Pos.exists unbarred p.reads in
+      if t.config.read_priority then
+        if has_read then Some (One p.reads, true, false)
+        else if Pos.exists unbarred p.writes then
+          Some (One p.writes, false, false)
+        else None
+      else if has_read || Pos.exists unbarred p.writes then
+        Some (Both (p.reads, p.writes), has_read, false)
+      else None
 
 (* One seek per discontinuity, one transfer per record.  Same-record
    and adjacent-record requests chain without repositioning — that is
@@ -436,24 +507,12 @@ let batch_cost t ~head batch =
 
 (* Circular forward distance from a way's head to the first record its
    sweep would serve; 0 means the sweep continues without a seek. *)
-let way_distance t ~head sorted_pool =
-  let first_ge =
-    List.fold_left
-      (fun acc r ->
-        if r.record >= head then
-          match acc with
-          | Some b when b <= r.record -> acc
-          | _ -> Some r.record
-        else acc)
-      None sorted_pool
-  in
-  match first_ge with
-  | Some rec_ -> rec_ - head
-  | None ->
-      let mn =
-        List.fold_left (fun acc r -> min acc r.record) max_int sorted_pool
-      in
-      Disk.records_per_pack t.disk - head + mn
+let way_distance t p pool ~head =
+  match sweep p pool ~head () with
+  | Seq.Nil -> max_int
+  | Seq.Cons (r, _) ->
+      if r.record >= head then r.record - head
+      else Disk.records_per_pack t.disk - head + r.record
 
 let deliver_error (r : req) err =
   match r.op with
@@ -651,25 +710,26 @@ let rec dispatch t p =
      cancelled here: the image must still reach the platter. *)
   if t.has_deadlines && p.depth > 0 then begin
     let now = t.now () in
-    let dead, alive =
-      List.partition
-        (fun r ->
-          is_read r && Multics_obs.Sink.ctx_expired t.obs ~now r.req_ctx)
-        p.queue
+    let dead =
+      Pos.fold
+        (fun r dead ->
+          if Multics_obs.Sink.ctx_expired t.obs ~now r.req_ctx
+          then Age.add r dead
+          else dead)
+        p.reads Age.empty
     in
-    if dead <> [] then begin
-      p.queue <- alive;
-      p.depth <- p.depth - List.length dead;
-      List.iter
-        (fun (r : req) ->
-          t.timeouts <- t.timeouts + 1;
-          Multics_obs.Sink.count t.obs "io.timeout";
-          let prev = Multics_obs.Sink.current t.obs in
-          Multics_obs.Sink.set_current t.obs r.req_ctx;
-          deliver_error r Timed_out;
-          Multics_obs.Sink.set_current t.obs prev)
-        dead
-    end
+    (* All leave the queue before any completion runs; they are told
+       in submission order. *)
+    Age.iter (dequeue p) dead;
+    Age.iter
+      (fun (r : req) ->
+        t.timeouts <- t.timeouts + 1;
+        Multics_obs.Sink.count t.obs "io.timeout";
+        let prev = Multics_obs.Sink.current t.obs in
+        Multics_obs.Sink.set_current t.obs r.req_ctx;
+        deliver_error r Timed_out;
+        Multics_obs.Sink.set_current t.obs prev)
+      dead
   end;
   (* While the breaker is open nothing dispatches; the cooldown event
      flips to half-open and re-enters here with the queue as probe. *)
@@ -683,8 +743,7 @@ let rec dispatch t p =
     end;
     match select_pool t p with
     | None -> ()
-    | Some (pool, rest, deadline_forced) ->
-        let sorted = List.sort by_record_seq pool in
+    | Some (pool, has_read, deadline_forced) ->
         let free =
           Array.fold_right
             (fun w acc -> if w.w_busy then acc else w :: acc)
@@ -697,7 +756,7 @@ let rec dispatch t p =
            are single-way packs (nothing to reserve). *)
         if
           (not deadline_forced)
-          && (not (List.exists is_read sorted))
+          && (not has_read)
           && Array.length p.ways > 1
           && List.length free <= 1
         then ()
@@ -705,7 +764,7 @@ let rec dispatch t p =
           let best =
             List.fold_left
               (fun acc w ->
-                let d = way_distance t ~head:w.head sorted in
+                let d = way_distance t p pool ~head:w.head in
                 match acc with
                 | Some (bd, (bw : way)) when (bd, bw.wid) <= (d, w.wid) -> acc
                 | _ -> Some (d, w))
@@ -713,20 +772,19 @@ let rec dispatch t p =
           in
           match best with
           | None -> ()
-          | Some (_, w) -> launch t p w ~sorted ~rest ~deadline_forced
+          | Some (_, w) -> launch t p w pool ~has_read ~deadline_forced
   end
 
-and launch t p w ~sorted ~rest ~deadline_forced =
-  let sweep = sweep_from ~head:w.head sorted in
+and launch t p w pool ~has_read ~deadline_forced =
   (* Pure write sweeps stay at the baseline bound: adaptive growth
      amortises seeks for a backlog somebody is waiting on, but a long
      write sweep just occupies an arm readers may need — bounded
      occupancy beats marginal seek savings when nobody blocks on the
      result. *)
-  let cur_max =
-    if List.exists is_read sweep then p.cur_max else t.config.max_batch
+  let cur_max = if has_read then p.cur_max else t.config.max_batch in
+  let batch =
+    take_capped t ~cur_max ~head:w.head (sweep p pool ~head:w.head)
   in
-  let batch, overflow = take_capped t ~cur_max ~head:w.head sweep in
   match batch with
   | [] -> ()
   | _ :: _ ->
@@ -734,8 +792,7 @@ and launch t p w ~sorted ~rest ~deadline_forced =
         t.deadline_batches <- t.deadline_batches + 1;
         Multics_obs.Sink.count t.obs "io.deadline_batch"
       end;
-      p.queue <- rest @ overflow;
-      p.depth <- p.depth - List.length batch;
+      List.iter (dequeue p) batch;
       if p.depth = 0 && p.cur_max > t.config.max_batch then begin
         p.cur_max <- max t.config.max_batch (p.cur_max / 2);
         t.shrunk <- t.shrunk + 1
@@ -806,8 +863,7 @@ let submit t ~pack ~record op =
   Multics_obs.Sink.count t.obs "io.submit";
   Multics_obs.Sink.instant t.obs ~tid:p.id ~arg:record ~cat:"io"
     ~name:"submit" ();
-  p.queue <- r :: p.queue;
-  p.depth <- p.depth + 1;
+  enqueue p r;
   if p.depth > t.queue_peak then t.queue_peak <- p.depth;
   kick t p;
   r
@@ -864,14 +920,16 @@ let submit_write t ?done_ ~pack ~record img =
     | None -> ()
   end
   else
-  let r = submit t ~pack ~record (Write (Array.copy img, done_)) in
+  (* One private copy, shared by the request and the write-behind
+     buffer: neither ever mutates it, and every reader gets its own. *)
+  let img = Array.copy img in
+  let r = submit t ~pack ~record (Write (img, done_)) in
   let prev =
     match Hashtbl.find_opt t.pending_writes (pack, record) with
     | Some l -> l
     | None -> []
   in
-  Hashtbl.replace t.pending_writes (pack, record)
-    ((r.seq, Array.copy img) :: prev)
+  Hashtbl.replace t.pending_writes (pack, record) ((r.seq, img) :: prev)
 
 let cancel_writes t ~pack ~record =
   let p = pack_state t pack in
@@ -882,7 +940,13 @@ let cancel_writes t ~pack ~record =
         t.cancelled <- t.cancelled + 1
     | _ -> ()
   in
-  List.iter cancel p.queue;
+  (* Only the record's own queued writes; a pack with nothing queued
+     (every delete on an idle disk) skips the index entirely. *)
+  if p.depth > 0 then
+    Seq.iter cancel
+      (Seq.take_while
+         (fun r -> r.record = record)
+         (Pos.to_seq_from (probe record) p.writes));
   List.iter (fun (batch, _, _, _, _) -> List.iter cancel batch) p.inflight;
   List.iter cancel p.retrying;
   Hashtbl.remove t.pending_writes (pack, record)
@@ -969,19 +1033,20 @@ let quiesce t =
          does. *)
       let w = p.ways.(0) in
       let rec drain () =
-        match List.sort by_record_seq p.queue with
-        | [] -> ()
-        | sorted ->
-            let sweep = sweep_from ~head:w.head sorted in
-            let batch, overflow = split_batch p.cur_max [] sweep in
-            p.queue <- overflow;
-            p.depth <- p.depth - List.length batch;
-            let cost = batch_cost t ~head:w.head batch in
-            (match List.rev batch with
-            | last :: _ -> w.head <- last.record + 1
-            | [] -> ());
-            finish_batch ~sync:true t p batch cost;
-            drain ()
+        if p.depth > 0 then begin
+          let batch =
+            List.of_seq
+              (Seq.take p.cur_max
+                 (sweep p (Both (p.reads, p.writes)) ~head:w.head))
+          in
+          List.iter (dequeue p) batch;
+          let cost = batch_cost t ~head:w.head batch in
+          (match List.rev batch with
+          | last :: _ -> w.head <- last.record + 1
+          | [] -> ());
+          finish_batch ~sync:true t p batch cost;
+          drain ()
+        end
       in
       drain ())
     t.packs
@@ -997,8 +1062,8 @@ let crash t ~surviving_writes =
     | _ -> ()
   in
   Array.iter
-    (fun p ->
-      List.iter (collect p.id) p.queue;
+    (fun (p : pack_state) ->
+      Pos.iter (collect p.id) p.writes;
       List.iter
         (fun (batch, _, live, _, _) ->
           if !live then List.iter (collect p.id) batch)
@@ -1023,8 +1088,10 @@ let crash t ~surviving_writes =
         Disk.mark_torn t.disk ~pack ~record:r.record)
     ordered;
   Array.iter
-    (fun p ->
-      p.queue <- [];
+    (fun (p : pack_state) ->
+      p.reads <- Pos.empty;
+      p.writes <- Pos.empty;
+      p.age <- Age.empty;
       p.depth <- 0;
       p.breaker <- Br_closed;
       p.consec_fails <- 0;
@@ -1034,6 +1101,7 @@ let crash t ~surviving_writes =
   List.length ordered
 
 let queue_depth t ~pack = (pack_state t pack).depth
+let way_heads t ~pack = Array.map (fun w -> w.head) (pack_state t pack).ways
 
 let breaker_state t ~pack =
   match (pack_state t pack).breaker with

@@ -43,7 +43,7 @@
     at all.
 
     Determinism: ordering is decided only by the queue discipline —
-    the (record, submission-sequence) sort within a sweep, the
+    the (record, submission-sequence) order within a sweep, the
     deadline/read-priority pool selection, the nearest-arm rule — and
     by the event queue's insertion-order tie-break.  No wall-clock
     input anywhere, so runs are reproducible.
@@ -56,6 +56,15 @@
     [read_priority = false] and a large [deadline_ns] recovers the
     single-arm pure-elevator scheduler exactly (test/test_io.ml pins
     that configuration).
+
+    Host cost: each pack indexes its queued reads and writes by
+    (record, submission sequence) and all of them by age, so a
+    dispatch walks its sweep lazily from the arm's head and costs
+    O(log n) per request it takes plus one per request it skips
+    because an in-flight sweep holds its record — never a pass over
+    the whole queue.  Only a passed deadline builds a set (of the
+    expired requests); {!cancel_writes} visits only the record's own
+    writes.
 
     Latency model: a batch costs one seek per discontinuity plus one
     transfer per record.  An isolated single-record request therefore
@@ -135,7 +144,9 @@ type io_error =
   | Pack_offline  (** the pack is inside its scheduled offline window *)
   | Timed_out
       (** the request context's deadline passed (cancelled at a
-          checkpoint), or its retry budget ran dry *)
+          checkpoint), or its retry budget ran dry.  Queued reads a
+          dispatch finds expired are all dequeued first, then told in
+          submission order. *)
   | Breaker_open
       (** failed fast: the pack's circuit breaker is open *)
 
@@ -167,9 +178,11 @@ val submit_read :
 val submit_write :
   t -> ?done_:((unit, io_error) result -> unit) -> pack:int -> record:int ->
   Word.t array -> unit
-(** Queue a write of a private copy of the image (the write-behind
-    buffer); [done_ (Ok ())] fires when it reaches the platter — that
-    acknowledgement is the durability promise the crash bench checks. *)
+(** Queue a write of a private copy of the image: one copy, shared by
+    the queued request and the write-behind buffer, and never mutated
+    (every read hit gets its own copy).  [done_ (Ok ())] fires when it
+    reaches the platter — that acknowledgement is the durability
+    promise the crash bench checks. *)
 
 val read_now : t -> pack:int -> record:int -> (Word.t array, io_error) result
 (** Synchronous shim: the image the record will hold once every write
@@ -222,7 +235,9 @@ val set_on_apply :
   t -> (pack:int -> record:int -> acked:bool -> Word.t array -> unit) -> unit
 (** Hook fired on every image actually applied to a platter, with
     [acked = false] for writes a crash applied without completing.
-    The chaos bench builds its shadow disk here. *)
+    The image may be the scheduler's own write-behind copy: the hook
+    must not mutate it, and must copy it to keep it.  The chaos bench
+    builds its shadow disk here. *)
 
 val set_on_recover : t -> (pack:int -> unit) -> unit
 (** Hook fired when a pack's breaker closes after a successful
@@ -281,6 +296,10 @@ val stats : t -> stats
 
 val queue_depth : t -> pack:int -> int
 (** Requests currently queued (not yet dispatched) for [pack]. *)
+
+val way_heads : t -> pack:int -> int array
+(** Each arm's head position (the record after the last one it
+    served), indexed by way id. *)
 
 val mean_batch : stats -> float
 (** [s_dispatched / s_batches]: requests per dispatched batch; 0 when

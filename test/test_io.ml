@@ -568,6 +568,244 @@ let test_write_behind_spares use_cleaner_daemon () =
            ~record:(Hw.Disk.record_of_handle h)).(0))
     (file_map k ~pages:48)
 
+(* ------------------------------------------------------------------ *)
+(* Golden sweep order.  Seeded random streams of reads, writes and
+   write cancellations over 200 records of one pack, several hundred
+   requests deep, at 1 and 8 ways with read priority on and off, under
+   a deadline short enough to force sweeps; repeated writes to one
+   record make the busy-record bar hold requests back.  The transcript
+   records every arm's head whenever one moves ([H]), each completion
+   in delivery order with its request id, record and data ([R]/[W]),
+   each batch's size and cost ([B]), a quiesce in mid-stream ([Q]) and
+   the final counters ([S]).  Its digests were taken from the
+   list-based queue this one replaced: any change in a sweep's way,
+   batch, order or cost shows here. *)
+
+let sweep_transcript ~pack_ways ~read_priority =
+  let machine =
+    Hw.Machine.create ~disk_packs:1 ~records_per_pack:256
+      Hw.Hw_config.kernel_multics
+  in
+  let config =
+    { Hw.Io_sched.max_batch = 8; max_batch_cap = 32; deadline_ns = 5_000;
+      pack_ways; read_priority; seek_ns = 1_000; transfer_ns = 100;
+      retry_limit = 3; retry_backoff_ns = 100; retry_budget = 0;
+      backoff_jitter = false; breaker_threshold = 0; breaker_cooldown_ns = 0 }
+  in
+  let io =
+    Hw.Io_sched.create ~config
+      ~now:(fun () -> Hw.Machine.now machine)
+      ~disk:machine.Hw.Machine.disk ~schedule:(Hw.Machine.schedule machine) ()
+  in
+  let b = Buffer.create 65536 in
+  Hw.Io_sched.set_on_batch io (fun ~pack:_ ~size ~cost_ns ->
+      Printf.bprintf b "B %d %d\n" size cost_ns);
+  let rng =
+    Random.State.make [| 601; pack_ways; Bool.to_int read_priority |]
+  in
+  let next_id = ref 0 in
+  let submit () =
+    let id = !next_id in
+    incr next_id;
+    let record = Random.State.int rng 200 in
+    match Random.State.int rng 20 with
+    | k when k < 7 ->
+        Hw.Io_sched.submit_read io ~pack:0 ~record ~done_:(fun r ->
+            Printf.bprintf b "R %d %d %d\n" id record (expect r).(0))
+    | 7 -> Hw.Io_sched.cancel_writes io ~pack:0 ~record
+    | _ ->
+        Hw.Io_sched.submit_write io ~pack:0 ~record (page [ id ])
+          ~done_:(fun r -> expect r; Printf.bprintf b "W %d %d\n" id record)
+  in
+  for _ = 1 to 420 do submit () done;
+  let burst_depth = Hw.Io_sched.queue_depth io ~pack:0 in
+  for i = 1 to 240 do
+    Hw.Machine.schedule machine ~delay:(i * 1_000) submit
+  done;
+  Hw.Machine.schedule machine ~delay:100_500 (fun () ->
+      for _ = 1 to 300 do submit () done);
+  let heads = ref [||] in
+  let note_heads () =
+    let h = Hw.Io_sched.way_heads io ~pack:0 in
+    if h <> !heads then begin
+      heads := h;
+      Buffer.add_string b "H";
+      Array.iter (Printf.bprintf b " %d") h;
+      Buffer.add_char b '\n'
+    end
+  in
+  let rec drive ~until =
+    if Hw.Machine.now machine < until && Hw.Machine.step machine then begin
+      note_heads ();
+      drive ~until
+    end
+  in
+  drive ~until:8_000;
+  Printf.bprintf b "Q %d\n" (Hw.Io_sched.queue_depth io ~pack:0);
+  Hw.Io_sched.quiesce io;
+  note_heads ();
+  drive ~until:max_int;
+  let s = Hw.Io_sched.stats io in
+  Printf.bprintf b "S %d %d %d %d %d %d %d %d\n" s.Hw.Io_sched.s_batches
+    s.Hw.Io_sched.s_dispatched s.Hw.Io_sched.s_merges
+    s.Hw.Io_sched.s_deadline_batches s.Hw.Io_sched.s_cancelled
+    s.Hw.Io_sched.s_buffer_hits s.Hw.Io_sched.s_grown s.Hw.Io_sched.s_shrunk;
+  (burst_depth, s, Buffer.contents b)
+
+let test_sweep_golden () =
+  List.iter
+    (fun (pack_ways, read_priority, digest) ->
+      let name =
+        Printf.sprintf "%d way(s), read priority %b" pack_ways read_priority
+      in
+      let depth, s, transcript = sweep_transcript ~pack_ways ~read_priority in
+      check Alcotest.bool (name ^ ": burst at least 300 deep") true
+        (depth >= 300);
+      check Alcotest.bool (name ^ ": deadline-forced sweeps occurred") true
+        (s.Hw.Io_sched.s_deadline_batches > 0);
+      check Alcotest.string (name ^ ": transcript digest") digest
+        (Digest.to_hex (Digest.string transcript)))
+    [ (1, true, "4d274fd15ce3e19416641d0d10daf174");
+      (1, false, "7df22a2500be2acd8bfc1fd535674aa5");
+      (8, true, "d47210993b313523249bfe84a1c9486a");
+      (8, false, "6b912d0e50fc4af68786336f2084197c") ]
+
+(* ------------------------------------------------------------------ *)
+(* Edge cases of the indexed queue. *)
+
+(* Reads whose context deadline passes while they wait are delivered
+   [Timed_out] in submission order.  The one arm is held by an
+   untracked read so the deadline reads stay queued until it lands. *)
+let test_timeouts_in_submission_order () =
+  let machine, _disk, io = rig ~config:(legacy ~max_batch:8) () in
+  let sink =
+    Multics_obs.Sink.create ~now:(fun () -> Hw.Machine.now machine) ()
+  in
+  Hw.Io_sched.set_obs io sink;
+  Hw.Io_sched.submit_read io ~pack:0 ~record:30 ~done_:(fun r ->
+      ignore (expect r));
+  check Alcotest.bool "the arm took the first read" true
+    (Hw.Machine.step machine);
+  let ctx =
+    Multics_obs.Sink.new_ctx sink ~parent:0 ~deadline:500 ~origin:"u" ()
+  in
+  Multics_obs.Sink.set_current sink ctx;
+  let order = ref [] in
+  List.iter
+    (fun record ->
+      Hw.Io_sched.submit_read io ~pack:0 ~record ~done_:(function
+        | Error Hw.Io_sched.Timed_out -> order := record :: !order
+        | _ -> Alcotest.fail "expected Timed_out"))
+    [ 9; 3; 7; 1; 5 ];
+  Multics_obs.Sink.set_current sink 0;
+  Hw.Machine.run machine;
+  check Alcotest.(list int) "timeouts in submission order" [ 9; 3; 7; 1; 5 ]
+    (List.rev !order);
+  check Alcotest.int "counted" 5 (Hw.Io_sched.stats io).Hw.Io_sched.s_timeouts;
+  check Alcotest.int "drained" 0 (Hw.Io_sched.queue_depth io ~pack:0)
+
+(* Cancelling record r touches only r's writes, not its neighbours in
+   the sweep order. *)
+let test_cancel_spares_neighbours () =
+  let machine, disk, io = rig () in
+  List.iter
+    (fun (record, v) ->
+      Hw.Io_sched.submit_write io ~pack:0 ~record (page [ v ]))
+    [ (4, 40); (5, 50); (6, 60); (5, 51) ];
+  Hw.Io_sched.cancel_writes io ~pack:0 ~record:5;
+  Hw.Machine.run machine;
+  check Alcotest.(list int) "r-1 and r+1 landed, r did not" [ 40; 0; 60 ]
+    (List.map
+       (fun record -> (Hw.Disk.read_record disk ~pack:0 ~record).(0))
+       [ 4; 5; 6 ]);
+  check Alcotest.int "both writes to r cancelled" 2
+    (Hw.Io_sched.stats io).Hw.Io_sched.s_cancelled
+
+(* A crash after interleaved reads, writes and a cancellation tears
+   exactly the uncancelled queued writes; the survivors land in
+   submission order. *)
+let test_crash_tears_in_seq_order () =
+  let _machine, disk, io = rig () in
+  let applied = ref [] in
+  Hw.Io_sched.set_on_apply io (fun ~pack:_ ~record ~acked img ->
+      check Alcotest.bool "applied without an acknowledgement" false acked;
+      applied := (record, img.(0)) :: !applied);
+  List.iter
+    (function
+      | `W (record, v) ->
+          Hw.Io_sched.submit_write io ~pack:0 ~record (page [ v ])
+            ~done_:(fun _ -> Alcotest.fail "a crashed write completed")
+      | `R record ->
+          Hw.Io_sched.submit_read io ~pack:0 ~record ~done_:(fun _ -> ()))
+    [ `W (5, 1); `R 1; `W (2, 2); `W (9, 3); `R 3; `W (8, 4); `W (2, 5);
+      `W (7, 6) ];
+  Hw.Io_sched.cancel_writes io ~pack:0 ~record:9;
+  let buffered = Hw.Io_sched.crash io ~surviving_writes:3 in
+  check Alcotest.int "uncancelled writes buffered" 5 buffered;
+  check Alcotest.(list (pair int int)) "survivors in submission order"
+    [ (5, 1); (2, 2); (8, 4) ]
+    (List.rev !applied);
+  check Alcotest.(list int) "torn records" [ 2; 7 ]
+    (Hw.Disk.torn_records disk ~pack:0);
+  check Alcotest.int "queue emptied" 0 (Hw.Io_sched.queue_depth io ~pack:0)
+
+(* [queue_depth] counts exactly the undispatched requests through
+   submit, launch, quiesce and crash. *)
+let test_queue_depth_tracks () =
+  let machine, _disk, io = rig ~config:(legacy ~max_batch:2) () in
+  let depth () = Hw.Io_sched.queue_depth io ~pack:0 in
+  List.iteri
+    (fun i record ->
+      if i mod 2 = 0 then
+        Hw.Io_sched.submit_read io ~pack:0 ~record ~done_:(fun _ -> ())
+      else Hw.Io_sched.submit_write io ~pack:0 ~record (page [ record ]);
+      check Alcotest.int "after submit" (i + 1) (depth ()))
+    [ 8; 3; 12; 1; 6 ];
+  check Alcotest.bool "dispatch ran" true (Hw.Machine.step machine);
+  check Alcotest.int "after launch" 3 (depth ());
+  Hw.Io_sched.quiesce io;
+  check Alcotest.int "after quiesce" 0 (depth ());
+  Hw.Machine.run machine;
+  Hw.Io_sched.submit_write io ~pack:0 ~record:4 (page [ 4 ]);
+  Hw.Io_sched.submit_read io ~pack:0 ~record:5 ~done_:(fun _ -> ());
+  check Alcotest.int "after resubmit" 2 (depth ());
+  ignore (Hw.Io_sched.crash io ~surviving_writes:0);
+  check Alcotest.int "after crash" 0 (depth ())
+
+(* Dispatch allocation does not grow with queue depth.  Allocation is
+   deterministic at one domain: the words one dispatch allocates over a
+   1 000-deep queue of writes must stay within 4x those over a 10-deep
+   one.  A queue re-sorted on every dispatch allocates ~100x. *)
+let dispatch_words depth =
+  let machine =
+    Hw.Machine.create ~disk_packs:1 ~records_per_pack:4096
+      Hw.Hw_config.kernel_multics
+  in
+  let disk = machine.Hw.Machine.disk in
+  let io =
+    Hw.Io_sched.create
+      ~config:
+        { (Hw.Io_sched.config_of_disk disk) with Hw.Io_sched.pack_ways = 1 }
+      ~now:(fun () -> Hw.Machine.now machine)
+      ~disk ~schedule:(Hw.Machine.schedule machine) ()
+  in
+  let img = page [ 1 ] in
+  for i = 0 to depth - 1 do
+    Hw.Io_sched.submit_write io ~pack:0 ~record:(i * 4) img
+  done;
+  let before = Gc.minor_words () in
+  check Alcotest.bool "the kick ran" true (Hw.Machine.step machine);
+  let words = Gc.minor_words () -. before in
+  check Alcotest.int "one batch left the queue" (depth - 8)
+    (Hw.Io_sched.queue_depth io ~pack:0);
+  words
+
+let test_dispatch_alloc_flat () =
+  let shallow = dispatch_words 10 and deep = dispatch_words 1_000 in
+  if deep >= 4.0 *. shallow then
+    Alcotest.failf "dispatch allocated %.0f words at depth 1000 vs %.0f at 10"
+      deep shallow
+
 let tests =
   [ Alcotest.test_case "elevator order" `Quick test_elevator_order;
     Alcotest.test_case "batch cost model" `Quick test_batch_cost_model;
@@ -595,5 +833,15 @@ let tests =
     Alcotest.test_case "eviction write-behind spares" `Quick
       (test_write_behind_spares false);
     Alcotest.test_case "cleaner write-behind spares" `Quick
-      (test_write_behind_spares true)
+      (test_write_behind_spares true);
+    Alcotest.test_case "sweep order golden" `Quick test_sweep_golden;
+    Alcotest.test_case "timeouts in submission order" `Quick
+      test_timeouts_in_submission_order;
+    Alcotest.test_case "cancel spares neighbours" `Quick
+      test_cancel_spares_neighbours;
+    Alcotest.test_case "crash tears in seq order" `Quick
+      test_crash_tears_in_seq_order;
+    Alcotest.test_case "queue depth tracks" `Quick test_queue_depth_tracks;
+    Alcotest.test_case "dispatch allocation flat" `Quick
+      test_dispatch_alloc_flat
   ]
