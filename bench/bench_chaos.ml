@@ -375,5 +375,4 @@ let run () =
   transient_plan baseline_image;
   bad_record_plan baseline_image;
   crash_plan ~t_end ~t_checkpoint;
-  offline_plan ~t_checkpoint ~t_end ~pack;
-  Bench_util.write_section_metrics ~section:sec ~path:"BENCH_chaos_c4.json"
+  offline_plan ~t_checkpoint ~t_end ~pack

@@ -22,7 +22,7 @@
 
    Deterministic by construction: every metric except the *_rate
    wall-clock rows is a pure function of the workload, so CI
-   byte-diffs BENCH_cluster_c7.json across double runs. *)
+   byte-diffs the C7 rows of BENCH_perf.json across double runs. *)
 
 module K = Multics_kernel
 module L = Multics_legacy
@@ -282,5 +282,4 @@ let run () =
   bit_identity ();
   utility ();
   pdes_identity ();
-  multik ();
-  Bench_util.write_section_metrics ~section:sec ~path:"BENCH_cluster_c7.json"
+  multik ()

@@ -314,5 +314,4 @@ let run () =
   Bench_util.section sec "overload: deadlines, breakers, brownout";
   bit_identity ();
   goodput ();
-  breakers ();
-  Bench_util.write_section_metrics ~section:sec ~path:"BENCH_overload_c6.json"
+  breakers ()

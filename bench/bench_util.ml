@@ -194,12 +194,6 @@ let write_metrics ~path =
   Format.printf "@.%d metrics -> %s (%d refreshed, %d kept)@." n path
     (List.length fresh) (List.length kept)
 
-let write_section_metrics ~section ~path =
-  let saved = !metrics in
-  metrics := List.filter (fun m -> m.m_section = section) saved;
-  write_metrics ~path;
-  metrics := saved
-
 let pct_delta a b =
   (* how much slower b is than a, in percent *)
   100.0 *. (float_of_int b -. float_of_int a) /. float_of_int a

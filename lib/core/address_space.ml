@@ -99,8 +99,7 @@ let disconnect_segno t proc segno =
     Hw.Sdw.write_at t.machine.Hw.Machine.mem sdw_abs Hw.Sdw.invalid;
     s.connected <- List.filter (fun n -> n <> segno) s.connected;
     (* The severed SDW may be cached in an associative memory. *)
-    Hw.Machine.flush_all_tlbs t.machine;
-    Tracer.note_cache t.tracer ~cache:"sdw_am" ~event:"disconnect_flush"
+    Hw.Machine.flush_all_tlbs t.machine
   end
 
 let destroy_space t ~caller ~proc =

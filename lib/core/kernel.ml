@@ -149,7 +149,6 @@ let rec boot_internal ?previous_disk cfg =
       ()
   in
   Hw.Machine.set_obs machine obs;
-  Meter.register_users meter (fun () -> Multics_obs.Sink.by_user obs);
   (* SLO watchdogs: simulated-time latency thresholds on the service
      histograms.  Purely observational — a breach bumps a counter and
      drops an instant in the flight ring, never touching the clock. *)
@@ -249,28 +248,6 @@ let rec boot_internal ?previous_disk cfg =
     Name_space.create ~use_cache:cfg.use_path_cache ~obs ~meter ~tracer ~gate
       ~directory ()
   in
-  Meter.register_cache meter ~name:"sdw_am" (fun () ->
-      List.fold_left
-        (fun acc (cpu : Hw.Cpu.t) ->
-          { Meter.c_hits = acc.Meter.c_hits + Hw.Assoc_mem.hits cpu.Hw.Cpu.tlb;
-            c_misses = acc.Meter.c_misses + Hw.Assoc_mem.misses cpu.Hw.Cpu.tlb;
-            c_invalidations =
-              acc.Meter.c_invalidations + Hw.Assoc_mem.flushes cpu.Hw.Cpu.tlb })
-        (* Reaped processes' vCPUs leave the broadcast set; their
-           counters persist in the machine's retired totals. *)
-        { Meter.c_hits = machine.Hw.Machine.retired_tlb_hits;
-          c_misses = machine.Hw.Machine.retired_tlb_misses;
-          c_invalidations = machine.Hw.Machine.retired_tlb_flushes }
-        (Hw.Machine.all_cpus machine));
-  Meter.register_cache meter ~name:"pathname" (fun () ->
-      { Meter.c_hits = Name_space.cache_hits name_space;
-        c_misses = Name_space.cache_misses name_space;
-        c_invalidations = Name_space.cache_invalidations name_space });
-  Meter.register_cache meter ~name:"read_ahead" (fun () ->
-      let hits = Page_frame.prefetch_hits page_frame in
-      { Meter.c_hits = hits;
-        c_misses = max 0 (Page_frame.prefetch_issued page_frame - hits);
-        c_invalidations = Page_frame.prefetch_dropped page_frame });
   let fault_dispatch =
     Fault_dispatch.create ~meter ~tracer ~page_frame ~known ~address_space
       ~gate ~obs
@@ -662,7 +639,6 @@ let reboot cfg ~from =
 
 let machine t = t.machine
 let meter t = t.meter
-let tracer t = t.tracer
 let obs t = t.obs
 let core t = t.core
 let vp t = t.vp
@@ -816,18 +792,13 @@ type cache_report = {
 }
 
 let stats t =
-  let find name =
-    match List.assoc_opt name (Meter.cache_stats t.meter) with
-    | Some c -> c
-    | None -> { Meter.c_hits = 0; c_misses = 0; c_invalidations = 0 }
-  in
-  let am = find "sdw_am" and path = find "pathname" in
-  { tlb_hits = am.Meter.c_hits;
-    tlb_misses = am.Meter.c_misses;
-    tlb_flushes = am.Meter.c_invalidations;
-    path_hits = path.Meter.c_hits;
-    path_misses = path.Meter.c_misses;
-    path_invalidations = path.Meter.c_invalidations }
+  let am = Hw.Machine.tlb_totals t.machine in
+  { tlb_hits = am.Hw.Machine.tlb_hits;
+    tlb_misses = am.Hw.Machine.tlb_misses;
+    tlb_flushes = am.Hw.Machine.tlb_flushes;
+    path_hits = Name_space.cache_hits t.name_space;
+    path_misses = Name_space.cache_misses t.name_space;
+    path_invalidations = Name_space.cache_invalidations t.name_space }
 
 type io_report = {
   io_reads : int;
@@ -906,11 +877,6 @@ let pp_slos ppf t =
 
 let slo_report t = Format.asprintf "%a" pp_slos t
 
-let trace_report t =
-  Format.asprintf "%a%a" Multics_obs.Trace_export.pp_timeline
-    (Multics_obs.Sink.buf t.obs)
-    pp_slos t
-
 let flight_dump t = Multics_obs.Sink.flight_dump t.obs
 let last_flight_dump t = Multics_obs.Sink.last_dump t.obs
 
@@ -930,13 +896,10 @@ let chrome_trace t =
   (* Export from a copy so bridging the dependency tracer's census in
      never pollutes the live ring. *)
   let edges = Tracer.observed t.tracer in
-  let cevents = Tracer.cache_events t.tracer in
   let buf =
     Multics_obs.Trace_buf.create
       ~capacity:
-        (max 1
-           (Multics_obs.Trace_buf.length ring
-           + List.length edges + List.length cevents))
+        (max 1 (Multics_obs.Trace_buf.length ring + List.length edges))
       ()
   in
   Multics_obs.Trace_buf.iter ring (Multics_obs.Trace_buf.record buf);
@@ -1008,17 +971,28 @@ let pp_report ppf t =
   Format.fprintf ppf "  gates: %d defined (%d user-callable), %d calls@."
     (Gate.registered t.gate) (Gate.user_callable t.gate)
     (Gate.calls_total t.gate);
+  let pp_cache name ~hits ~misses ~invalidations =
+    let lookups = hits + misses in
+    let rate =
+      if lookups = 0 then 0.0
+      else float_of_int hits /. float_of_int lookups
+    in
+    Format.fprintf ppf
+      "    %-12s %8d hits %8d misses %6d invalidations (%.1f%% hit)@." name
+      hits misses invalidations (100.0 *. rate)
+  in
+  let st = stats t in
   Format.fprintf ppf "  caches:@.";
-  List.iter
-    (fun (cache, c) ->
-      Format.fprintf ppf
-        "    %-12s %8d hits %8d misses %6d invalidations (%.1f%% hit)@." cache
-        c.Meter.c_hits c.Meter.c_misses c.Meter.c_invalidations
-        (100.0 *. Meter.hit_rate c))
-    (Meter.cache_stats t.meter);
+  pp_cache "sdw_am" ~hits:st.tlb_hits ~misses:st.tlb_misses
+    ~invalidations:st.tlb_flushes;
+  pp_cache "pathname" ~hits:st.path_hits ~misses:st.path_misses
+    ~invalidations:st.path_invalidations;
+  pp_cache "read_ahead" ~hits:io.prefetch_hits
+    ~misses:(max 0 (io.prefetch_issued - io.prefetch_hits))
+    ~invalidations:io.prefetch_dropped;
   pp_histos ppf t;
   pp_slos ppf t;
-  (match Meter.by_user t.meter with
+  (match Multics_obs.Sink.by_user t.obs with
   | [] -> ()
   | users ->
       Format.fprintf ppf "  usage by user:@.";

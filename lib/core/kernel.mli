@@ -8,7 +8,13 @@
 
     Examples and benches drive the system through this interface:
     create directories and processes, [run] the event loop, read the
-    statistics, audit the dependency structure. *)
+    statistics, audit the dependency structure.
+
+    Every count has one owner and the kernel only reads it: cache
+    counters live in the caches, disk counters in the I/O scheduler,
+    per-user usage and latency histograms in the observability sink,
+    simulated cost in the {!Meter}, call edges in the {!Tracer}.
+    {!pp_report} is a view over those owners. *)
 
 type overload_config = {
   ov_deadline_ns : int;
@@ -140,7 +146,6 @@ val reboot : config -> from:t -> t
 (* Component accessors. *)
 val machine : t -> Multics_hw.Machine.t
 val meter : t -> Meter.t
-val tracer : t -> Tracer.t
 val obs : t -> Multics_obs.Sink.t
 val core : t -> Core_segment.t
 val vp : t -> Vp.t
@@ -235,9 +240,10 @@ type cache_report = {
 }
 
 val stats : t -> cache_report
-(** Aggregated hit/miss/invalidation counters for the hardware
-    associative memories (summed over every physical and virtual CPU)
-    and the pathname cache. *)
+(** Hit/miss/invalidation counters read from their owners: the
+    machine's associative-memory totals ({!Multics_hw.Machine.tlb_totals},
+    every physical, virtual and retired CPU) and {!Name_space}'s
+    pathname cache. *)
 
 type io_report = {
   io_reads : int;  (** records read by the disk subsystem *)
@@ -273,13 +279,9 @@ val dependency_audit : t -> Multics_depgraph.Conformance.t
 
 val meter_snapshot : t -> Meter.snapshot
 (** Freeze the cost meter for later {!Meter.diff} delta assertions.
-    [snap_users] carries per-user attribution (cpu ns and I/Os joined
-    from request contexts back to accounting principals). *)
-
-val trace_report : t -> string
-(** The event ring as a human-readable timeline (empty unless the
-    config asked for [Full] tracing), followed by the SLO watchdog
-    summary. *)
+    Per-user attribution (cpu ns and I/Os joined from request contexts
+    back to accounting principals) is the sink's:
+    [Multics_obs.Sink.by_user (obs t)]. *)
 
 val slo_report : t -> string
 (** Just the SLO watchdog summary: one line per armed watchdog with
@@ -308,4 +310,7 @@ val chrome_trace : t -> string
     batch async span, eventcount wakeup — reads as one nested group. *)
 
 val pp_report : Format.formatter -> t -> unit
-(** Human-readable statistics block. *)
+(** Human-readable statistics block.  Its [caches:] lines come from
+    {!stats} and {!io_stats} (read-ahead: misses are issued prefetches
+    never hit, invalidations are prefetches dropped at low water), its
+    usage by user from the sink, its manager times from the meter. *)

@@ -3,7 +3,11 @@
 
     The event-driven machine advances the clock between steps; kernel
     code that runs "inline" during a step charges the meter, and the
-    dispatcher folds the accumulated charge into the step's duration. *)
+    dispatcher folds the accumulated charge into the step's duration.
+
+    The meter records simulated cost and nothing else.  Cache counters
+    belong to the caches, per-user usage to the observability sink
+    ({!Multics_obs.Sink.by_user}); {!Kernel} reads each from its owner. *)
 
 type t
 
@@ -31,45 +35,14 @@ val total : t -> int
 val by_manager : t -> (string * int) list
 (** Sorted by manager name. *)
 
-type cache_stats = {
-  c_hits : int;
-  c_misses : int;
-  c_invalidations : int;  (** flush / whole-cache-drop events *)
-}
-
-val register_cache : t -> name:string -> (unit -> cache_stats) -> unit
-(** Register a cache's live counters under [name]; the thunk is read
-    whenever stats are reported. *)
-
-val cache_stats : t -> (string * cache_stats) list
-(** In registration order. *)
-
-val hit_rate : cache_stats -> float
-(** Hits over lookups; 0 when there were no lookups. *)
-
-val register_users : t -> (unit -> (string * (int * int)) list) -> unit
-(** Register the per-user attribution source ([(user, (cpu_ns, ios))],
-    sorted by user) — the kernel wires the observability sink's
-    request-context join here so {!snapshot} can report usage by
-    accounting principal. *)
-
-val by_user : t -> (string * (int * int)) list
-(** The registered attribution, [[]] when none is registered. *)
-
 type snapshot = {
   snap_total : int;
   snap_managers : (string * int) list;  (** sorted by manager name *)
-  snap_users : (string * (int * int)) list;
-      (** per-user [(cpu_ns, ios)], sorted by user; empty unless
-          attribution is registered *)
 }
 
 val snapshot : t -> snapshot
 (** Freeze the totals, for later per-manager delta assertions. *)
 
 val diff : before:snapshot -> after:snapshot -> snapshot
-(** Per-manager deltas between two snapshots; managers or users whose
-    totals did not move are omitted. *)
-
-val reset : t -> unit
-(** Clears meters; registered caches stay registered. *)
+(** Per-manager deltas between two snapshots; managers whose totals did
+    not move are omitted. *)

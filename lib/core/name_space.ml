@@ -27,8 +27,7 @@ let cache_capacity = 512
 
 let clear_cache t =
   Hashtbl.reset t.cache;
-  t.cache_invalidations <- t.cache_invalidations + 1;
-  Tracer.note_cache t.tracer ~cache:"pathname" ~event:"invalidate"
+  t.cache_invalidations <- t.cache_invalidations + 1
 
 let create ?(use_cache = true) ?obs ~meter ~tracer ~gate ~directory () =
   let obs =

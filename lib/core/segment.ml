@@ -108,8 +108,7 @@ let sever_connections t e =
   e.connections <- [];
   (* A changed descriptor may be cached in some processor's associative
      memory; the trailer walk ends with a broadcast AM clear. *)
-  Hw.Machine.flush_all_tlbs t.machine;
-  Tracer.note_cache t.tracer ~cache:"sdw_am" ~event:"setfaults_flush"
+  Hw.Machine.flush_all_tlbs t.machine
 
 let build_page_table t slot (vtoc : Hw.Disk.vtoc_entry) =
   for pageno = 0 to t.pt_words - 1 do

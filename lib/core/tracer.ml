@@ -4,32 +4,14 @@ module PMap = Map.Make (struct
   let compare = compare
 end)
 
-type t = {
-  mutable edges : int PMap.t;
-  mutable total : int;
-  cache_events : (string, int) Hashtbl.t;  (* "cache:event" -> count *)
-}
+type t = { mutable edges : int PMap.t }
 
-let create () =
-  { edges = PMap.empty; total = 0; cache_events = Hashtbl.create 8 }
-
-let note_cache t ~cache ~event =
-  let key = cache ^ ":" ^ event in
-  let count = Option.value ~default:0 (Hashtbl.find_opt t.cache_events key) in
-  Hashtbl.replace t.cache_events key (count + 1)
-
-let cache_events t =
-  (* Explicit key sort: Hashtbl.fold order varies with the table's
-     history, and the keys are unique, so sorting by key alone makes
-     the listing deterministic. *)
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.cache_events []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+let create () = { edges = PMap.empty }
 
 let call t ~from ~to_ =
   if from <> to_ then begin
     let count = Option.value ~default:0 (PMap.find_opt (from, to_) t.edges) in
-    t.edges <- PMap.add (from, to_) (count + 1) t.edges;
-    t.total <- t.total + 1
+    t.edges <- PMap.add (from, to_) (count + 1) t.edges
   end
 
 let observed t =
@@ -46,23 +28,11 @@ let audit t ~declared =
   conf
 
 let to_trace_buf t ~now ~buf =
-  let record ~cat ~name ~value =
-    Multics_obs.Trace_buf.record buf
-      { Multics_obs.Trace_buf.ev_time = now;
-        ev_phase = Multics_obs.Trace_buf.Counter; ev_cat = cat;
-        ev_name = name; ev_tid = 0; ev_id = 0; ev_arg = value; ev_ctx = 0 }
-  in
   List.iter
     (fun (from, to_, count) ->
-      record ~cat:"dep" ~name:(from ^ "->" ^ to_) ~value:count)
-    (observed t);
-  List.iter
-    (fun (key, count) -> record ~cat:"cache" ~name:key ~value:count)
-    (cache_events t)
-
-let calls t = t.total
-
-let reset t =
-  t.edges <- PMap.empty;
-  t.total <- 0;
-  Hashtbl.reset t.cache_events
+      Multics_obs.Trace_buf.record buf
+        { Multics_obs.Trace_buf.ev_time = now;
+          ev_phase = Multics_obs.Trace_buf.Counter; ev_cat = "dep";
+          ev_name = from ^ "->" ^ to_; ev_tid = 0; ev_id = 0; ev_arg = count;
+          ev_ctx = 0 })
+    (observed t)

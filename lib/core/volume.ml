@@ -39,8 +39,7 @@ let create ?(faults = Hw.Fault_inject.none) ?choice ?io_config ~machine
      step: record it under this manager without touching the pending
      step cost.  This is the only place batch latency is charged. *)
   Hw.Io_sched.set_on_batch io (fun ~pack:_ ~size:_ ~cost_ns ->
-      Meter.charge_async meter ~manager:name cost_ns;
-      Tracer.note_cache tracer ~cache:"disk_io" ~event:"batch");
+      Meter.charge_async meter ~manager:name cost_ns);
   (* The machine's sink is installed before any manager is created, so
      capturing it here wires the elevator's batch spans to the kernel's
      trace. *)

@@ -78,11 +78,6 @@ let hits t = t.hits
 let misses t = t.misses
 let flushes t = t.flushes
 
-let reset_counters t =
-  t.hits <- 0;
-  t.misses <- 0;
-  t.flushes <- 0
-
 let pp ppf t =
   Format.fprintf ppf "am{size=%d entries=%d hits=%d misses=%d flushes=%d}"
     (size t) (entries t) t.hits t.misses t.flushes

@@ -50,5 +50,4 @@ val insert : t -> segno:int -> sdw:Sdw.t -> unit
 val hits : t -> int
 val misses : t -> int
 val flushes : t -> int
-val reset_counters : t -> unit
 val pp : Format.formatter -> t -> unit

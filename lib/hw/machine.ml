@@ -1,3 +1,5 @@
+type tlb_totals = { tlb_hits : int; tlb_misses : int; tlb_flushes : int }
+
 type t = {
   config : Hw_config.t;
   mem : Phys_mem.t;
@@ -6,9 +8,7 @@ type t = {
   events : Event_queue.t;
   mutable now : int;
   mutable extra_cpus : Cpu.t list;
-  mutable retired_tlb_hits : int;
-  mutable retired_tlb_misses : int;
-  mutable retired_tlb_flushes : int;
+  mutable retired_tlb : tlb_totals;
   mutable obs : Multics_obs.Sink.t;
   mutable halted : bool;
 }
@@ -27,7 +27,7 @@ let create ?(disk_packs = 4) ?(records_per_pack = 1024) ?disk
     events = Event_queue.create ();
     now = 0;
     extra_cpus = [];
-    retired_tlb_hits = 0; retired_tlb_misses = 0; retired_tlb_flushes = 0;
+    retired_tlb = { tlb_hits = 0; tlb_misses = 0; tlb_flushes = 0 };
     obs = Multics_obs.Sink.disabled ();
     halted = false }
 
@@ -40,19 +40,23 @@ let set_obs t sink = t.obs <- sink
 
 let register_cpu t cpu = t.extra_cpus <- cpu :: t.extra_cpus
 
+let add_tlb acc (cpu : Cpu.t) =
+  { tlb_hits = acc.tlb_hits + Assoc_mem.hits cpu.Cpu.tlb;
+    tlb_misses = acc.tlb_misses + Assoc_mem.misses cpu.Cpu.tlb;
+    tlb_flushes = acc.tlb_flushes + Assoc_mem.flushes cpu.Cpu.tlb }
+
 (* Physical identity, not [=]: a vCPU holds cyclic/mutable state.  Its
    associative-memory counters fold into the retired totals so the
    machine-wide cache statistics survive the departure. *)
 let unregister_cpu t cpu =
   if List.exists (fun c -> c == cpu) t.extra_cpus then begin
-    t.retired_tlb_hits <- t.retired_tlb_hits + Assoc_mem.hits cpu.Cpu.tlb;
-    t.retired_tlb_misses <- t.retired_tlb_misses + Assoc_mem.misses cpu.Cpu.tlb;
-    t.retired_tlb_flushes <-
-      t.retired_tlb_flushes + Assoc_mem.flushes cpu.Cpu.tlb;
+    t.retired_tlb <- add_tlb t.retired_tlb cpu;
     t.extra_cpus <- List.filter (fun c -> not (c == cpu)) t.extra_cpus
   end
 
 let all_cpus t = Array.to_list t.cpus @ List.rev t.extra_cpus
+
+let tlb_totals t = List.fold_left add_tlb t.retired_tlb (all_cpus t)
 
 (* The setfaults trailer walk: changing a descriptor in place must
    broadcast an associative-memory clear to every processor, physical

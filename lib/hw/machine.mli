@@ -6,6 +6,8 @@
     which I/O completions and dispatcher steps are interleaved, and
     accessors for the physical resources. *)
 
+type tlb_totals = { tlb_hits : int; tlb_misses : int; tlb_flushes : int }
+
 type t = {
   config : Hw_config.t;
   mem : Phys_mem.t;
@@ -16,12 +18,10 @@ type t = {
   mutable extra_cpus : Cpu.t list;
       (** Virtual CPUs registered by the kernel so descriptor changes
           can broadcast associative-memory clears to all of them. *)
-  mutable retired_tlb_hits : int;
+  mutable retired_tlb : tlb_totals;
       (** Associative-memory counters of unregistered (reaped) virtual
-          CPUs, folded in so machine-wide cache statistics survive
-          process destruction. *)
-  mutable retired_tlb_misses : int;
-  mutable retired_tlb_flushes : int;
+          CPUs, folded in by {!unregister_cpu}; read them through
+          {!tlb_totals}. *)
   mutable obs : Multics_obs.Sink.t;
       (** Observability sink; starts life {!Multics_obs.Sink.disabled}
           until the kernel installs its own with [set_obs]. *)
@@ -77,6 +77,11 @@ val unregister_cpu : t -> Cpu.t -> unit
 val all_cpus : t -> Cpu.t list
 (** Physical CPUs followed by registered virtual CPUs, in
     registration order. *)
+
+val tlb_totals : t -> tlb_totals
+(** Associative-memory counters summed over every CPU the machine has
+    ever had: physical, registered virtual, and retired by
+    {!unregister_cpu}.  Monotone: reaping a process never lowers them. *)
 
 val flush_all_tlbs : t -> unit
 (** Clear every CPU's SDW associative memory — the setfaults trailer

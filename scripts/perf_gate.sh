@@ -9,6 +9,11 @@
 # noise.  Wall-clock rows (unit "ns_wall", the *_rate schedules/s
 # rows) and counts are never gated.
 #
+# A gated metric of the baseline that is absent from the current file
+# also fails the gate (printed as MISSING).  Bench runs merge by
+# section and keep the rows of every section that did not run, so a
+# missing key means a re-run section stopped recording the metric.
+#
 # usage: scripts/perf_gate.sh baseline.json current.json [tolerance_pct]
 #
 # CI copies the checked-out BENCH_perf.json aside before the bench
@@ -42,7 +47,7 @@ awk -v tol="$tol" '
     else { cur[k] = val }
   }
   END {
-    fails = 0; checked = 0
+    fails = 0; checked = 0; missing = 0
     n = 0
     for (k in base) keys[++n] = k
     # sort for stable output
@@ -51,9 +56,14 @@ awk -v tol="$tol" '
         if (keys[j] < keys[i]) { t = keys[i]; keys[i] = keys[j]; keys[j] = t }
     for (i = 1; i <= n; i++) {
       k = keys[i]
-      if (!(k in cur)) continue        # metric gone: section not re-run
       if (k ~ /_rate$/) continue       # wall-clock throughput rows, never gated
       if (bunit[k] != "ns") continue   # only simulated time is gated
+      if (!(k in cur)) {
+        printf "MISSING %-37s %14.0f ns in the baseline, absent now\n", \
+          k, base[k]
+        missing++
+        continue
+      }
       b = base[k] + 0; c = cur[k] + 0
       if (b <= 0) continue
       delta = 100 * (c - b) / b
@@ -65,8 +75,8 @@ awk -v tol="$tol" '
       } else
         printf "ok   %-40s %14.0f -> %14.0f ns  %+.1f%%\n", k, b, c, delta
     }
-    printf "perf gate: %d simulated-time metrics checked, %d regressions (tolerance %d%%)\n", \
-      checked, fails, tol
-    exit fails > 0 ? 1 : 0
+    printf "perf gate: %d simulated-time metrics checked, %d regressions, %d missing (tolerance %d%%)\n", \
+      checked, fails, missing, tol
+    exit fails + missing > 0 ? 1 : 0
   }
 ' "$baseline" "$current"

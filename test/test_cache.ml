@@ -259,6 +259,47 @@ let test_caches_empty_after_reboot () =
   | Ok _ -> ()
   | Error _ -> Alcotest.fail "hierarchy lost across reboot"
 
+(* A reaped process's vCPU leaves the machine and its associative-memory
+   counters fold into the retired totals, so the machine-wide counts
+   [Kernel.stats] reports never fall while processes come and go. *)
+let test_tlb_totals_survive_reaping () =
+  let k = K.Kernel.boot K.Kernel.default_config in
+  K.Kernel.mkdir k ~path:">home" ~acl:open_acl ~label:low;
+  for i = 1 to 6 do
+    let name = Printf.sprintf "f%d" i in
+    ignore
+      (K.Kernel.spawn k ~pname:name
+         (K.Workload.concat
+            [ [| K.Workload.Create_file { dir = ">home"; name };
+                 K.Workload.Initiate { path = ">home>" ^ name; reg = 0 } |];
+              K.Workload.sequential_write ~seg_reg:0 ~pages:i;
+              K.Workload.random_touches ~seg_reg:0 ~pages:i ~count:(40 * i)
+                ~write_pct:50 ~seed:i ]))
+  done;
+  let machine = K.Kernel.machine k in
+  let prev = ref (K.Kernel.stats k) and slices = ref 0 in
+  while
+    (not (K.Kernel.run_to_completion ~max_events:2 k)) && !slices < 10_000
+  do
+    incr slices;
+    let s = K.Kernel.stats k in
+    if s.K.Kernel.tlb_hits < !prev.K.Kernel.tlb_hits
+       || s.K.Kernel.tlb_misses < !prev.K.Kernel.tlb_misses
+       || s.K.Kernel.tlb_flushes < !prev.K.Kernel.tlb_flushes
+    then Alcotest.failf "TLB counters fell after slice %d" !slices;
+    prev := s
+  done;
+  check Alcotest.bool "all completed" true
+    (K.User_process.all_done (K.Kernel.user_process k));
+  check Alcotest.bool "sampled mid-run" true (!slices > 10);
+  let retired = machine.Hw.Machine.retired_tlb in
+  check Alcotest.bool "reaped vCPUs retired their hits" true
+    (retired.Hw.Machine.tlb_hits > 0);
+  let final = K.Kernel.stats k in
+  check Alcotest.bool "totals include the retired" true
+    (final.K.Kernel.tlb_hits >= retired.Hw.Machine.tlb_hits
+     && final.K.Kernel.tlb_hits >= !prev.K.Kernel.tlb_hits)
+
 (* ------------------------------------------------------------------ *)
 (* The caches must not change what a workload computes. *)
 
@@ -347,6 +388,8 @@ let tests =
       test_path_cache_acl;
     Alcotest.test_case "caches empty after reboot" `Quick
       test_caches_empty_after_reboot;
+    Alcotest.test_case "tlb totals survive reaping" `Quick
+      test_tlb_totals_survive_reaping;
     Alcotest.test_case "same results caches on/off" `Quick
       test_same_results_on_off;
     Alcotest.test_case "disk free map" `Quick test_disk_free_map ]

@@ -214,14 +214,6 @@ let test_meter_snapshot_diff () =
 
 let test_tracer_deterministic () =
   let tr = K.Tracer.create () in
-  K.Tracer.note_cache tr ~cache:"sdw" ~event:"hit";
-  K.Tracer.note_cache tr ~cache:"path" ~event:"miss";
-  K.Tracer.note_cache tr ~cache:"sdw" ~event:"hit";
-  check
-    Alcotest.(list (pair string int))
-    "cache events sorted"
-    [ ("path:miss", 1); ("sdw:hit", 2) ]
-    (K.Tracer.cache_events tr);
   K.Tracer.call tr ~from:"gate" ~to_:"pfm";
   K.Tracer.call tr ~from:"gate" ~to_:"pfm";
   K.Tracer.call tr ~from:"dir" ~to_:"seg";
@@ -276,7 +268,10 @@ let test_trace_clock_neutral () =
   check Alcotest.bool "histo report" true
     (String.length (K.Kernel.histo_report k) > 0);
   check Alcotest.bool "timeline" true
-    (String.length (K.Kernel.trace_report k) > 0);
+    (String.length
+       (Format.asprintf "%a" Obs.Trace_export.pp_timeline
+          (Obs.Sink.buf (K.Kernel.obs k)))
+     > 0);
   check Alcotest.bool "chrome trace" true
     (String.length (K.Kernel.chrome_trace k) > 0)
 
@@ -455,8 +450,7 @@ let test_ctx_propagation () =
        prefetches);
   (* 4. The join shows up in accounting: the default principal owns
      both cpu time and I/Os. *)
-  let users = K.Meter.snapshot (K.Kernel.meter k) in
-  (match List.assoc_opt "user" users.K.Meter.snap_users with
+  (match List.assoc_opt "user" (Obs.Sink.by_user obs) with
   | None -> Alcotest.fail "no per-user attribution row"
   | Some (cpu_ns, ios) ->
       check Alcotest.bool "cpu attributed" true (cpu_ns > 0);
