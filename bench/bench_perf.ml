@@ -275,7 +275,7 @@ let perf_memory () =
       in
       let nkernel0 =
         memory_path_ns (K.Kernel.meter k)
-          [ "page_cleaner_daemon"; K.Registry.user_process_manager ]
+          [ "page_cleaner_daemon"; K.Registry.(name user_process_manager) ]
       in
       let t0 = K.Kernel.now k in
       ignore (K.Kernel.spawn k ~pname:"t1" toucher);
@@ -287,7 +287,7 @@ let perf_memory () =
       in
       let new_kernel =
         memory_path_ns (K.Kernel.meter k)
-          [ "page_cleaner_daemon"; K.Registry.user_process_manager ]
+          [ "page_cleaner_daemon"; K.Registry.(name user_process_manager) ]
         - nkernel0
       in
       let new_reads = K.Page_frame.page_reads (K.Kernel.page_frame k) in
@@ -438,7 +438,7 @@ let perf_quota () =
       let sm = K.Kernel.segment k in
       let slot =
         match
-          K.Segment.activate sm ~caller:"bench" ~uid:target.K.Directory.t_uid
+          K.Segment.activate sm ~caller:K.Registry.gate ~uid:target.K.Directory.t_uid
             ~cell:target.K.Directory.t_cell
         with
         | Ok slot -> slot
@@ -446,7 +446,7 @@ let perf_quota () =
       in
       let before_new = K.Meter.total (K.Kernel.meter k) in
       for pageno = 0 to 7 do
-        match K.Segment.grow sm ~caller:"bench" ~slot ~pageno with
+        match K.Segment.grow sm ~caller:K.Registry.gate ~slot ~pageno with
         | Ok () -> ()
         | Error _ -> failwith "bench: new grow"
       done;

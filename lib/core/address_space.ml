@@ -24,7 +24,7 @@ let name = Registry.address_space_manager
 
 let entry t ~caller ns =
   Tracer.call t.tracer ~from:caller ~to_:name;
-  Meter.charge t.meter ~manager:name (Registry.language name)
+  Meter.charge t.meter ~manager:(Registry.name name) Cost.Pl1
     (Cost.kernel_call + ns)
 
 let create ~machine ~meter ~tracer ~core ~segment ~known ~max_spaces =

@@ -54,13 +54,13 @@ let check region i =
 
 let read t region i =
   check region i;
-  Meter.charge t.meter ~manager:name Cost.Pl1
+  Meter.charge t.meter ~manager:(Registry.name name) Cost.Pl1
     t.machine.Hw.Machine.config.Hw.Hw_config.mem_access_cost;
   Hw.Phys_mem.read t.machine.Hw.Machine.mem (region.base + i)
 
 let write t region i w =
   check region i;
-  Meter.charge t.meter ~manager:name Cost.Pl1
+  Meter.charge t.meter ~manager:(Registry.name name) Cost.Pl1
     t.machine.Hw.Machine.config.Hw.Hw_config.mem_access_cost;
   Hw.Phys_mem.write t.machine.Hw.Machine.mem (region.base + i) w
 

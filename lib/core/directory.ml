@@ -73,7 +73,7 @@ type t = {
 let name = Registry.directory_manager
 let lang = Cost.Pl1
 
-let charge t ns = Meter.charge t.meter ~manager:name lang ns
+let charge t ns = Meter.charge t.meter ~manager:(Registry.name name) lang ns
 
 let entry_charge t ~caller ns =
   Tracer.call t.tracer ~from:caller ~to_:name;

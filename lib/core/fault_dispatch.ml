@@ -5,20 +5,18 @@ type outcome = Retry | Wait of Sync.Eventcount.t * int | Error of string
 
 type t = {
   meter : Meter.t;
-  tracer : Tracer.t;
   page_frame : Page_frame.t;
   known : Known_segment.t;
   address_space : Address_space.t;
   gate : Gate.t;
   obs : Multics_obs.Sink.t;
-  mutable handled : int;
 }
 
 (* Fault reflection enters through the same layer as gates. *)
 let name = Registry.gate
 
-let create ~meter ~tracer ~page_frame ~known ~address_space ~gate ~obs =
-  { meter; tracer; page_frame; known; address_space; gate; obs; handled = 0 }
+let create ~meter ~page_frame ~known ~address_space ~gate ~obs =
+  { meter; page_frame; known; address_space; gate; obs }
 
 let of_pfm = function
   | Page_frame.Wait (ec, v) -> Wait (ec, v)
@@ -26,8 +24,7 @@ let of_pfm = function
   | Page_frame.Damaged msg -> Error msg
 
 let handle t ~proc fault =
-  t.handled <- t.handled + 1;
-  Meter.charge t.meter ~manager:name Cost.Pl1 Cost.fault_entry;
+  Meter.charge t.meter ~manager:(Registry.name name) Cost.Pl1 Cost.fault_entry;
   Multics_obs.Sink.count t.obs "fault.handled";
   (* A fault is a request entry point: open a context under the faulting
      process so the page read, its retries and any read-ahead spawned on
@@ -83,5 +80,3 @@ let handle t ~proc fault =
   | Wait _ -> ()
   | Retry | Error _ -> Multics_obs.Sink.set_current t.obs parent);
   outcome
-
-let faults_handled t = t.handled

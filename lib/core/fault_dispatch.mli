@@ -16,9 +16,8 @@ type outcome =
 type t
 
 val create :
-  meter:Meter.t -> tracer:Tracer.t -> page_frame:Page_frame.t ->
-  known:Known_segment.t -> address_space:Address_space.t -> gate:Gate.t ->
-  obs:Multics_obs.Sink.t -> t
+  meter:Meter.t -> page_frame:Page_frame.t -> known:Known_segment.t ->
+  address_space:Address_space.t -> gate:Gate.t -> obs:Multics_obs.Sink.t -> t
 
 (** Every handled fault opens a ["fault"] span named after the fault
     kind and feeds the ["fault.handle"] histogram, so a fault's whole
@@ -26,5 +25,3 @@ val create :
     the exported timeline. *)
 
 val handle : t -> proc:int -> Multics_hw.Fault.t -> outcome
-
-val faults_handled : t -> int

@@ -2,7 +2,6 @@ type gate_info = { g_max_ring : int; mutable g_calls : int }
 
 type t = {
   meter : Meter.t;
-  tracer : Tracer.t;
   signals : Upward_signal.t;
   directory : Directory.t;
   obs : Multics_obs.Sink.t;
@@ -14,8 +13,8 @@ type t = {
 
 let name = Registry.gate
 
-let create ~meter ~tracer ~signals ~directory ~obs =
-  { meter; tracer; signals; directory; obs; gates = Hashtbl.create 64;
+let create ~meter ~signals ~directory ~obs =
+  { meter; signals; directory; obs; gates = Hashtbl.create 64;
     order = []; total = 0; violations = 0 }
 
 let define t ~name:gate_name ~max_ring =
@@ -55,7 +54,8 @@ let call t ?deadline ~name:gate_name ~caller_ring f =
       else begin
         info.g_calls <- info.g_calls + 1;
         t.total <- t.total + 1;
-        Meter.charge t.meter ~manager:name Cost.Pl1 Cost.gate_crossing;
+        Meter.charge t.meter ~manager:(Registry.name name) Cost.Pl1
+          Cost.gate_crossing;
         Multics_obs.Sink.count t.obs "gate.call";
         (* Every gate entry opens a request context under whatever was
            ambient (the calling process), so kernel work done on the

@@ -11,8 +11,8 @@
 type t
 
 val create :
-  meter:Meter.t -> tracer:Tracer.t -> signals:Upward_signal.t ->
-  directory:Directory.t -> obs:Multics_obs.Sink.t -> t
+  meter:Meter.t -> signals:Upward_signal.t -> directory:Directory.t ->
+  obs:Multics_obs.Sink.t -> t
 
 val define : t -> name:string -> max_ring:int -> unit
 (** Register a gate.  Gates with [max_ring >= 4] are user-callable. *)

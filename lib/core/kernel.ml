@@ -168,7 +168,7 @@ let rec boot_internal ?previous_disk cfg =
   | None -> ());
   let aim_audit = Aim.Audit.create () in
   let core = Core_segment.create ~machine ~meter ~reserved_frames:cfg.core_frames in
-  let vp = Vp.create ?choice:cfg.choice ~machine ~meter ~tracer ~core ~n_vps:cfg.n_vps () in
+  let vp = Vp.create ?choice:cfg.choice ~machine ~meter ~core ~n_vps:cfg.n_vps () in
   (* The overload plane's I/O knobs (retry budgets, jittered backoff,
      circuit breakers) ride on the I/O scheduler's config: merge them
      into the disk-derived defaults.  [overload = None] leaves the
@@ -241,7 +241,7 @@ let rec boot_internal ?previous_disk cfg =
     Directory.create ~machine ~meter ~tracer ~segment ~quota ~volume ~known
       ~audit:aim_audit
   in
-  let gate = Gate.create ~meter ~tracer ~signals ~directory ~obs in
+  let gate = Gate.create ~meter ~signals ~directory ~obs in
   List.iter (fun (g, ring) -> Gate.define gate ~name:g ~max_ring:ring)
     gate_table;
   let name_space =
@@ -249,7 +249,7 @@ let rec boot_internal ?previous_disk cfg =
       ~directory ()
   in
   let fault_dispatch =
-    Fault_dispatch.create ~meter ~tracer ~page_frame ~known ~address_space
+    Fault_dispatch.create ~meter ~page_frame ~known ~address_space
       ~gate ~obs
   in
   (match previous_disk with
@@ -261,7 +261,7 @@ let rec boot_internal ?previous_disk cfg =
   (* Permanently bound virtual processors. *)
   User_process.bind_scheduler_daemon user_process ~vp_id:0;
   if cfg.use_cleaner_daemon then
-    Vp.bind vp ~vp_id:1 ~name:Registry.page_frame_manager
+    Vp.bind vp ~vp_id:1 ~name:Registry.(name page_frame_manager)
       ~step:(Page_frame.cleaner_step page_frame);
   let first_user_vp = 2 in
   let user_vp_ids =
@@ -987,9 +987,6 @@ let pp_report ppf t =
     ~invalidations:st.tlb_flushes;
   pp_cache "pathname" ~hits:st.path_hits ~misses:st.path_misses
     ~invalidations:st.path_invalidations;
-  pp_cache "read_ahead" ~hits:io.prefetch_hits
-    ~misses:(max 0 (io.prefetch_issued - io.prefetch_hits))
-    ~invalidations:io.prefetch_dropped;
   pp_histos ppf t;
   pp_slos ppf t;
   (match Multics_obs.Sink.by_user t.obs with

@@ -59,7 +59,8 @@ let gated_search t ~subject ~ring ~dir_uid ~component =
   t.search_count <- t.search_count + 1;
   Multics_obs.Sink.count t.obs "ns.search";
   (* The user-ring walker is a small, simple program. *)
-  Meter.charge t.meter ~manager:name Cost.Pl1 (Cost.kernel_call / 2);
+  Meter.charge t.meter ~manager:(Registry.name name) Cost.Pl1
+    (Cost.kernel_call / 2);
   Tracer.call t.tracer ~from:name ~to_:Registry.gate;
   match
     Gate.call t.gate ~name:"hcs_$fs_search" ~caller_ring:ring (fun () ->
@@ -76,7 +77,8 @@ let search t ~subject ~ring ~dir_uid ~component =
     match Hashtbl.find_opt t.cache key with
     | Some uid ->
         t.cache_hits <- t.cache_hits + 1;
-        Meter.charge t.meter ~manager:name Cost.Pl1 Cost.name_cache_hit;
+        Meter.charge t.meter ~manager:(Registry.name name) Cost.Pl1
+          Cost.name_cache_hit;
         `Found uid
     | None ->
         t.cache_misses <- t.cache_misses + 1;

@@ -79,7 +79,7 @@ type t = {
 let name = Registry.page_frame_manager
 let lang = Cost.Pl1
 
-let charge t ns = Meter.charge t.meter ~manager:name lang ns
+let charge t ns = Meter.charge t.meter ~manager:(Registry.name name) lang ns
 
 let entry t ~caller ns =
   Tracer.call t.tracer ~from:caller ~to_:name;
@@ -392,7 +392,7 @@ let join_transit t transit =
   Multics_obs.Sink.count t.obs "pfm.transit_join";
   (* A joiner finds the page-table lock held by the read in flight:
      exactly the contention a shared page-table lock records. *)
-  ignore (Sync.Lock.try_acquire transit.ptl ~owner:name);
+  ignore (Sync.Lock.try_acquire transit.ptl ~owner:(Registry.name name));
   if transit.prefetch then begin
     (* A demand fault arrived while the read-ahead was still in the
        air: the prefetch hid (part of) this fault's latency. *)
@@ -420,7 +420,7 @@ let start_read t ~ptw_abs ~frame ~record_handle ~cell ~prefetch =
       ~histo:"ec.wait:pfm.transit" ~obs:t.obs ?choice:t.pf_choice ()
   in
   let ptl = Sync.Lock.create ~name:"ptl" ~obs:t.obs ?choice:t.pf_choice () in
-  ignore (Sync.Lock.try_acquire ptl ~owner:name);
+  ignore (Sync.Lock.try_acquire ptl ~owner:(Registry.name name));
   let transit =
     { ec; expected = 1; frame; prefetch;
       t_start = Multics_obs.Sink.now t.obs; ptl;
@@ -636,7 +636,8 @@ let fault_in_sync t ~caller ~ptw_abs =
   else if Hashtbl.mem t.transits ptw_abs then begin
     (* An asynchronous read is in flight; pay the latency and let the
        pending completion finish the job. *)
-    Meter.charge_raw t.meter ~manager:name (Volume.io_latency_ns t.volume);
+    Meter.charge_raw t.meter ~manager:(Registry.name name)
+      (Volume.io_latency_ns t.volume);
     `Ok
   end
   else begin
@@ -654,7 +655,7 @@ let fault_in_sync t ~caller ~ptw_abs =
         | Error err ->
             mark_page_damaged t ~ptw_abs ~record_handle err;
             release_frame t frame;
-            Meter.charge_raw t.meter ~manager:name
+            Meter.charge_raw t.meter ~manager:(Registry.name name)
               (Volume.io_latency_ns t.volume);
             `Damaged
         | Ok img ->
@@ -667,7 +668,7 @@ let fault_in_sync t ~caller ~ptw_abs =
             mirror t frame;
             Hw.Ptw.write (mem t) ptw_abs (Hw.Ptw.in_core ~frame);
             t.page_reads <- t.page_reads + 1;
-            Meter.charge_raw t.meter ~manager:name
+            Meter.charge_raw t.meter ~manager:(Registry.name name)
               (Volume.io_latency_ns t.volume);
             `Ok
   end

@@ -28,7 +28,7 @@ let name = Registry.quota_cell_manager
 
 let entry t ~caller base =
   Tracer.call t.tracer ~from:caller ~to_:name;
-  Meter.charge t.meter ~manager:name (Registry.language name)
+  Meter.charge t.meter ~manager:(Registry.name name) Cost.Pl1
     (Cost.kernel_call + base)
 
 let create ~machine ~meter ~tracer ~core ~volume ~max_cells =

@@ -22,35 +22,37 @@ val create :
   core:Core_segment.t -> volume:Volume.t -> max_cells:int -> t
 
 val register :
-  t -> caller:string -> pack:int -> vtoc_index:int -> limit:int -> used:int ->
-  handle
+  t -> caller:Registry.manager -> pack:int -> vtoc_index:int -> limit:int ->
+  used:int -> handle
 (** Bring a quota cell into the cache (directory activation), creating
     it if the VTOC entry had none.  Raises [Failure] when the cache is
     full. *)
 
 val lookup : t -> pack:int -> vtoc_index:int -> handle option
 
-val charge : t -> caller:string -> handle -> int -> (unit, [ `Over_quota ]) result
+val charge :
+  t -> caller:Registry.manager -> handle -> int ->
+  (unit, [ `Over_quota ]) result
 (** Add pages to the cell's count, refusing past the limit. *)
 
-val uncharge : t -> caller:string -> handle -> int -> unit
+val uncharge : t -> caller:Registry.manager -> handle -> int -> unit
 (** Credit pages back (zero-page reclamation, truncation, deletion). *)
 
 val used : t -> handle -> int
 val limit : t -> handle -> int
 
-val set_limit : t -> caller:string -> handle -> int -> unit
+val set_limit : t -> caller:Registry.manager -> handle -> int -> unit
 
 val move_quota :
-  t -> caller:string -> from:handle -> to_:handle -> int ->
+  t -> caller:Registry.manager -> from:handle -> to_:handle -> int ->
   (unit, [ `Over_quota ]) result
 (** Transfer limit between parent and child cells (the terminal-quota
     operation). *)
 
-val sync : t -> caller:string -> handle -> unit
+val sync : t -> caller:Registry.manager -> handle -> unit
 (** Write the cached values back to the owning VTOC entry. *)
 
-val unregister : t -> caller:string -> handle -> unit
+val unregister : t -> caller:Registry.manager -> handle -> unit
 (** Sync and drop from the cache (directory deactivation). *)
 
 val relocated : t -> handle -> pack:int -> vtoc_index:int -> unit

@@ -1,27 +1,37 @@
 module Dg = Multics_depgraph
 
-let core_segment_manager = "core_segment_manager"
-let virtual_processor_manager = "virtual_processor_manager"
-let disk_pack_manager = "disk_pack_manager"
-let page_frame_manager = "page_frame_manager"
-let quota_cell_manager = "quota_cell_manager"
-let segment_manager = "segment_manager"
-let known_segment_manager = "known_segment_manager"
-let address_space_manager = "address_space_manager"
-let user_process_manager = "user_process_manager"
-let directory_manager = "directory_manager"
-let gate = "gate"
-let name_space = "name_space"
+type manager = int
 
-let manager_names =
-  [ core_segment_manager; virtual_processor_manager; disk_pack_manager;
-    page_frame_manager; quota_cell_manager; segment_manager;
-    known_segment_manager; address_space_manager; user_process_manager;
-    directory_manager; gate ]
+let names =
+  [| "core_segment_manager"; "virtual_processor_manager"; "disk_pack_manager";
+     "page_frame_manager"; "quota_cell_manager"; "segment_manager";
+     "known_segment_manager"; "address_space_manager"; "user_process_manager";
+     "directory_manager"; "gate"; "name_space"; "invariants"; "salvager" |]
+
+let core_segment_manager = 0
+let virtual_processor_manager = 1
+let disk_pack_manager = 2
+let page_frame_manager = 3
+let quota_cell_manager = 4
+let segment_manager = 5
+let known_segment_manager = 6
+let address_space_manager = 7
+let user_process_manager = 8
+let directory_manager = 9
+let gate = 10
+let name_space = 11
+let invariants = 12
+let salvager = 13
+let name m = names.(m)
+
+(* All kernel managers, bottom-up. *)
+let kernel_managers = List.init (gate + 1) Fun.id
 
 let declared_graph () =
   let g = Dg.Graph.create ~name:"Kernel/Multics implementation" () in
-  let edge from to_ kind = Dg.Graph.add_edge g ~from ~to_ kind in
+  let edge from to_ kind =
+    Dg.Graph.add_edge g ~from:(name from) ~to_:(name to_) kind
+  in
   let open Dg.Dep_kind in
   (* Structural dependencies. *)
   edge virtual_processor_manager core_segment_manager Map;
@@ -55,19 +65,16 @@ let declared_graph () =
   edge directory_manager known_segment_manager Explicit_call;
   (* The gate layer dispatches user calls, faults and upward signals
      into every manager. *)
-  List.iter
-    (fun m -> if m <> gate then edge gate m Explicit_call)
-    manager_names;
+  List.iter (fun m -> if m <> gate then edge gate m Explicit_call)
+    kernel_managers;
   (* The user-domain name manager reaches the kernel only through
      gates. *)
   edge name_space gate Explicit_call;
-  (* The certification apparatus (paper box 6): the invariant checker
-     and the salvager read manager state from outside the kernel. *)
-  edge "invariants" disk_pack_manager Explicit_call;
-  edge "salvager" disk_pack_manager Explicit_call;
-  edge "salvager" directory_manager Explicit_call;
-  edge "salvager" quota_cell_manager Explicit_call;
-  edge "salvager" segment_manager Explicit_call;
+  edge invariants disk_pack_manager Explicit_call;
+  edge salvager disk_pack_manager Explicit_call;
+  edge salvager directory_manager Explicit_call;
+  edge salvager quota_cell_manager Explicit_call;
+  edge salvager segment_manager Explicit_call;
   (* Blanket structural rules: programs and address spaces of kernel
      modules live in core segments; every module above the virtual
      processor manager is interpreted by it. *)
@@ -79,7 +86,5 @@ let declared_graph () =
         if m <> virtual_processor_manager then
           edge m virtual_processor_manager Interpreter
       end)
-    manager_names;
+    kernel_managers;
   g
-
-let language _ = Cost.Pl1

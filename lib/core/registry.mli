@@ -1,31 +1,43 @@
 (** The declared dependency structure of this kernel implementation.
 
-    These are the names used by every manager when charging the meter
-    and recording trace edges, and the dependency declarations the
-    runtime conformance audit checks observed calls against.  The graph
-    is the implementation's own (it differs from the paper's Figure 4 in
+    Every manager has one identity, owned here: a small-int handle
+    ({!manager}) and a name ({!name}).  Managers pass their handle as
+    [~caller] on every cross-manager call, and the {!Tracer} counts
+    calls in a matrix indexed by handle; the meter, the reports and the
+    dependency graph use the name.  The declared graph is the one the
+    runtime conformance audit checks observed calls against.  It is the
+    implementation's own (it differs from the paper's Figure 4 in
     merging the segment and active-segment managers and in adding the
-    gate layer on top); the test suite proves it loop-free. *)
+    gate layer on top); the test suite proves it loop-free.
 
-val core_segment_manager : string
-val virtual_processor_manager : string
-val disk_pack_manager : string
-val page_frame_manager : string
-val quota_cell_manager : string
-val segment_manager : string
-val known_segment_manager : string
-val address_space_manager : string
-val user_process_manager : string
-val directory_manager : string
-val gate : string
-val name_space : string
+    Kernel/Multics is coded entirely in the higher-level language (the
+    paper's "exclusive use of PL/I"), so every manager charges the meter
+    at [Cost.Pl1]. *)
 
-val manager_names : string list
-(** All kernel managers, bottom-up. *)
+type manager = private int
+(** A dense index into {!names}. *)
+
+val core_segment_manager : manager
+val virtual_processor_manager : manager
+val disk_pack_manager : manager
+val page_frame_manager : manager
+val quota_cell_manager : manager
+val segment_manager : manager
+val known_segment_manager : manager
+val address_space_manager : manager
+val user_process_manager : manager
+val directory_manager : manager
+val gate : manager
+val name_space : manager
+
+val invariants : manager
+val salvager : manager
+(** The certification apparatus (paper box 6): the invariant checker and
+    the salvager read manager state from outside the kernel. *)
+
+val names : string array
+(** Every handle's name, indexed by handle.  Read-only by convention. *)
+
+val name : manager -> string
 
 val declared_graph : unit -> Multics_depgraph.Graph.t
-
-val language : string -> Cost.language
-(** Implementation language of each manager.  Kernel/Multics is coded
-    entirely in the higher-level language (the paper's "exclusive use of
-    PL/I"), so every manager answers [Pl1]. *)

@@ -1,5 +1,8 @@
 module Hw = Multics_hw
 
+(* Every repair is a call from outside the kernel into its managers. *)
+let caller = Registry.salvager
+
 type kind =
   | Stale_entry
   | Quota_mismatch
@@ -152,7 +155,7 @@ let repair kernel =
       match Volume.locate volume ~uid with
       | Some (real_pack, real_index)
         when (real_pack, real_index) <> (pack, index) ->
-          Directory.handle_segment_moved dm ~caller:"salvager" ~uid
+          Directory.handle_segment_moved dm ~caller ~uid
             ~new_pack:real_pack ~new_index:real_index;
           incr repaired
       | _ -> ())
@@ -173,7 +176,7 @@ let repair kernel =
                    ~pack:(Hw.Disk.pack_of_handle handle)
                    ~record:(Hw.Disk.record_of_handle handle)
             then begin
-              Volume.set_file_map_entry volume ~caller:"salvager" ~pack ~index
+              Volume.set_file_map_entry volume ~caller ~pack ~index
                 ~pageno Hw.Disk.zero_page;
               incr repaired
             end)
@@ -194,8 +197,7 @@ let repair kernel =
      dead/torn marks just cleared.  Re-derive them from the repaired
      file maps so a later touch or persist sees the accepted image, not
      a connection failure. *)
-  repaired := !repaired + Segment.heal_damaged (Kernel.segment kernel)
-                            ~caller:"salvager";
+  repaired := !repaired + Segment.heal_damaged (Kernel.segment kernel) ~caller;
   (* Quota recount. *)
   let expected = Invariants.expected_quota kernel in
   List.iter
@@ -203,9 +205,9 @@ let repair kernel =
       match List.assoc_opt cell expected with
       | Some pages when pages <> used ->
           if used > pages then
-            Quota_cell.uncharge quota ~caller:"salvager" cell (used - pages)
+            Quota_cell.uncharge quota ~caller cell (used - pages)
           else
-            ignore (Quota_cell.charge quota ~caller:"salvager" cell (pages - used));
+            ignore (Quota_cell.charge quota ~caller cell (pages - used));
           incr repaired
       | _ -> ())
     (Quota_cell.registered quota);
@@ -230,7 +232,7 @@ let repair kernel =
   done;
   List.iter
     (fun (pack, index) ->
-      Volume.delete_segment volume ~caller:"salvager" ~pack ~index;
+      Volume.delete_segment volume ~caller ~pack ~index;
       incr repaired)
     !orphans;
   (* Leaked records.  Dead records are retired, not leaked. *)

@@ -38,7 +38,7 @@ type t = {
 let name = Registry.segment_manager
 let lang = Cost.Pl1
 
-let charge t ns = Meter.charge t.meter ~manager:name lang ns
+let charge t ns = Meter.charge t.meter ~manager:(Registry.name name) lang ns
 
 let entry t ~caller ns =
   Tracer.call t.tracer ~from:caller ~to_:name;
@@ -334,7 +334,7 @@ let relocate t slot =
             ~pt_base:(pt_base t ~slot) ~pt_words:t.pt_words
             ~home_pack:new_pack ~home_index:new_index ~cell:e.cell;
           t.relocations <- t.relocations + 1;
-          Upward_signal.raise_signal t.signals ~from:name
+          Upward_signal.raise_signal t.signals ~from:(Registry.name name)
             (Upward_signal.Segment_moved
                { uid = e.uid; new_pack; new_index });
           Ok ())

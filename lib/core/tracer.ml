@@ -1,31 +1,26 @@
-module PMap = Map.Make (struct
-  type t = string * string
+(* Cell [from * n + to_] counts the calls from [from] into [to_]. *)
+type t = int array
 
-  let compare = compare
-end)
+let n = Array.length Registry.names
 
-type t = { mutable edges : int PMap.t }
-
-let create () = { edges = PMap.empty }
+let create () = Array.make (n * n) 0
 
 let call t ~from ~to_ =
+  let from = (from : Registry.manager :> int)
+  and to_ = (to_ : Registry.manager :> int) in
   if from <> to_ then begin
-    let count = Option.value ~default:0 (PMap.find_opt (from, to_) t.edges) in
-    t.edges <- PMap.add (from, to_) (count + 1) t.edges
+    let i = (from * n) + to_ in
+    t.(i) <- t.(i) + 1
   end
 
 let observed t =
-  PMap.bindings t.edges |> List.map (fun ((f, to_), c) -> (f, to_, c))
+  List.init (n * n) (fun i ->
+      (Registry.names.(i / n), Registry.names.(i mod n), t.(i)))
+  |> List.filter (fun (_, _, count) -> count > 0)
+  |> List.sort compare
 
 let audit t ~declared =
-  let conf = Multics_depgraph.Conformance.create ~declared in
-  List.iter
-    (fun (from, to_, count) ->
-      for _ = 1 to count do
-        Multics_depgraph.Conformance.record_call conf ~from ~to_
-      done)
-    (observed t);
-  conf
+  Multics_depgraph.Conformance.create ~declared ~observed:(observed t)
 
 let to_trace_buf t ~now ~buf =
   List.iter

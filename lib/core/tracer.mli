@@ -1,29 +1,29 @@
 (** Cross-manager call tracing.
 
-    Every call from one object manager into another is recorded here;
-    the kernel audit compares the observed edges against the declared
-    dependency graph (see {!Registry}).  This is the executable version
-    of the paper's integrity audit: an undeclared call edge is exactly
-    the kind of drift an auditor reading Kernel/Multics would have to
-    hunt for by hand.
-
-    The tracer records call edges and nothing else.  Cache events are
-    counted by the module that owns each cache: the per-CPU associative
-    memories, {!Name_space}'s pathname cache and the disk scheduler. *)
+    Every call from one object manager into another is counted here, in
+    one square matrix of call counts allocated at boot:
+    row [from], column [to_].  Counting a call is one array increment.
+    The kernel audit reads the non-zero cells as a
+    {!Multics_depgraph.Conformance} view over the declared dependency
+    graph (see {!Registry}).  This is the executable version of the
+    paper's integrity audit: an undeclared call edge is exactly the kind
+    of drift an auditor reading Kernel/Multics would have to hunt for by
+    hand. *)
 
 type t
 
 val create : unit -> t
 
-val call : t -> from:string -> to_:string -> unit
-(** Record one call edge. *)
+val call : t -> from:Registry.manager -> to_:Registry.manager -> unit
+(** Count one call edge.  Self-calls are ignored. *)
 
 val observed : t -> (string * string * int) list
-(** Every edge with its call count, sorted by [(from, to_)]. *)
+(** Every edge called at least once, with its call count, sorted by
+    [(from, to_)] name. *)
 
 val audit : t -> declared:Multics_depgraph.Graph.t ->
   Multics_depgraph.Conformance.t
-(** Build a conformance report from everything recorded so far. *)
+(** The conformance view of everything counted so far. *)
 
 val to_trace_buf : t -> now:int -> buf:Multics_obs.Trace_buf.t -> unit
 (** Append the call-edge census as [Counter] samples (category ["dep"])

@@ -83,7 +83,7 @@ val bind_scheduler_daemon : t -> vp_id:int -> unit
 
 val create_process :
   ?deadline:int ->
-  t -> caller:string -> pname:string -> principal:Acl.principal ->
+  t -> caller:Registry.manager -> pname:string -> principal:Acl.principal ->
   label:Multics_aim.Label.t -> trusted:bool -> ring:int ->
   program:Workload.program -> int
 (** Returns the pid; the process is ready to run.  [deadline] (an

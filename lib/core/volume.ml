@@ -24,7 +24,7 @@ let note_online t ~pack =
 
 let entry t ~caller base_cost =
   Tracer.call t.tracer ~from:caller ~to_:name;
-  Meter.charge t.meter ~manager:name (Registry.language name)
+  Meter.charge t.meter ~manager:(Registry.name name) Cost.Pl1
     (Cost.kernel_call + base_cost)
 
 let create ?(faults = Hw.Fault_inject.none) ?choice ?io_config ~machine
@@ -39,7 +39,7 @@ let create ?(faults = Hw.Fault_inject.none) ?choice ?io_config ~machine
      step: record it under this manager without touching the pending
      step cost.  This is the only place batch latency is charged. *)
   Hw.Io_sched.set_on_batch io (fun ~pack:_ ~size:_ ~cost_ns ->
-      Meter.charge_async meter ~manager:name cost_ns);
+      Meter.charge_async meter ~manager:(Registry.name name) cost_ns);
   (* The machine's sink is installed before any manager is created, so
      capturing it here wires the elevator's batch spans to the kernel's
      trace. *)
@@ -179,7 +179,7 @@ let note_offline t ~pack =
     t.offline_signal_count <- t.offline_signal_count + 1;
     match t.signals with
     | Some signals ->
-        Upward_signal.raise_signal signals ~from:name
+        Upward_signal.raise_signal signals ~from:(Registry.name name)
           (Upward_signal.Pack_offline { pack })
     | None -> ()
   end
@@ -209,7 +209,8 @@ let spare_record t ~caller ~old_handle img =
           match Hw.Io_sched.write_now t.io ~pack ~record img with
           | Ok () ->
               t.spared <- t.spared + 1;
-              Meter.charge_raw t.meter ~manager:name (io_latency_ns t);
+              Meter.charge_raw t.meter ~manager:(Registry.name name)
+                (io_latency_ns t);
               Ok (Hw.Disk.handle ~pack ~record)
           | Error _ -> alloc_and_write (tries - 1))
   in
@@ -286,7 +287,7 @@ let move_segment t ~caller ~pack ~index ~to_pack =
     Hashtbl.replace t.locator old_entry.Hw.Disk.uid (to_pack, new_index);
     (* The record transfers take real time: charge the meter for the
        overlapped copies. *)
-    Meter.charge_raw t.meter ~manager:name
+    Meter.charge_raw t.meter ~manager:(Registry.name name)
       (n_records * (io_latency_ns t / 4));
     Ok (to_pack, new_index, n_records)
   end

@@ -34,13 +34,14 @@ val n_packs : t -> int
 val free_records : t -> pack:int -> int
 
 val create_segment :
-  t -> caller:string -> ?process_state:bool -> uid:Ids.uid -> pack:int ->
-  is_directory:bool -> label:int -> unit -> int
+  t -> caller:Registry.manager -> ?process_state:bool -> uid:Ids.uid ->
+  pack:int -> is_directory:bool -> label:int -> unit -> int
 (** Make a VTOC entry; returns its index on [pack].  [process_state]
     tags per-process kernel segments so a post-crash salvage can
     reclaim the orphans. *)
 
-val delete_segment : t -> caller:string -> pack:int -> index:int -> unit
+val delete_segment :
+  t -> caller:Registry.manager -> pack:int -> index:int -> unit
 (** Frees the segment's records and its VTOC entry.  Each record's
     pending write-behind is cancelled {e before} the free — the
     ordering contract of [Io_sched.cancel_writes]. *)
@@ -55,20 +56,23 @@ val locate : t -> uid:Ids.uid -> (int * int) option
     relocation and deletion.  This is how lower layers re-find a moved
     segment without asking the directory manager. *)
 
-val vtoc : t -> caller:string -> pack:int -> index:int -> Multics_hw.Disk.vtoc_entry
+val vtoc :
+  t -> caller:Registry.manager -> pack:int -> index:int ->
+  Multics_hw.Disk.vtoc_entry
 (** Raises [Not_found] for a stale (moved/deleted) VTOC address —
     callers above the directory manager level should treat that as a
     connection failure. *)
 
 val alloc_page_record :
-  t -> caller:string -> pack:int -> (int, [ `Pack_full ]) result
+  t -> caller:Registry.manager -> pack:int -> (int, [ `Pack_full ]) result
 
-val free_page_record : t -> caller:string -> pack:int -> record:int -> unit
+val free_page_record :
+  t -> caller:Registry.manager -> pack:int -> record:int -> unit
 (** Cancels the record's pending write-behind, then frees it — never
     the other way round (see [Io_sched.cancel_writes]). *)
 
 val read_page :
-  t -> caller:string -> handle:int ->
+  t -> caller:Registry.manager -> handle:int ->
   (Multics_hw.Word.t array, Multics_hw.Io_sched.io_error) result
 (** Read the record named by an 18-bit handle.  The caller accounts for
     the I/O latency (the page frame manager overlaps it with waiting).
@@ -78,23 +82,22 @@ val read_page :
     the record is dead or its pack offline. *)
 
 val write_page :
-  t -> caller:string -> handle:int -> Multics_hw.Word.t array ->
+  t -> caller:Registry.manager -> handle:int -> Multics_hw.Word.t array ->
   (unit, Multics_hw.Io_sched.io_error) result
 (** Synchronous shim; supersedes any queued write-behind of the same
     record. *)
 
 val read_record_async :
-  t -> caller:string -> handle:int ->
+  t -> caller:Registry.manager -> handle:int ->
   done_:((Multics_hw.Word.t array, Multics_hw.Io_sched.io_error) result ->
-         unit) ->
-  unit
+         unit) -> unit
 (** Queue the read on the record's pack; [done_] fires from the batch
     completion event — or from the final failed retry.  The transfer
     latency is modelled by the scheduler's elevator sweep, not charged
     here. *)
 
 val write_record_async :
-  t -> caller:string ->
+  t -> caller:Registry.manager ->
   ?done_:((unit, Multics_hw.Io_sched.io_error) result -> unit) ->
   handle:int -> Multics_hw.Word.t array -> unit
 (** Queue a write-behind of a private copy of the image. *)
@@ -132,7 +135,7 @@ val offline_signals : t -> int
     counts twice. *)
 
 val spare_record :
-  t -> caller:string -> old_handle:int -> Multics_hw.Word.t array ->
+  t -> caller:Registry.manager -> old_handle:int -> Multics_hw.Word.t array ->
   (int, [ `No_space ]) result
 (** Record sparing: the record behind [old_handle] went dead but the
     page image is still in core.  Retire the old record, allocate a
@@ -141,7 +144,7 @@ val spare_record :
 
 val spared_records : t -> int
 
-val mark_damaged : t -> caller:string -> pack:int -> index:int -> unit
+val mark_damaged : t -> caller:Registry.manager -> pack:int -> index:int -> unit
 (** Set the VTOC entry's damaged switch: a page of the segment was lost
     to a media error and could not be spared.  Counted even when the
     VTOC address has gone stale. *)
@@ -168,7 +171,7 @@ val io_latency_ns : t -> int
 val pick_emptier_pack : t -> except:int -> int option
 
 val move_segment :
-  t -> caller:string -> pack:int -> index:int -> to_pack:int ->
+  t -> caller:Registry.manager -> pack:int -> index:int -> to_pack:int ->
   (int * int * int, [ `No_space ]) result
 (** Copy every record of the segment at [pack]/[index] onto [to_pack];
     frees the old records and VTOC entry.  Returns (new pack, new VTOC
@@ -179,7 +182,8 @@ val move_segment :
     cannot be written keeps the still-good original in place. *)
 
 val set_file_map_entry :
-  t -> caller:string -> pack:int -> index:int -> pageno:int -> int -> unit
+  t -> caller:Registry.manager -> pack:int -> index:int -> pageno:int -> int ->
+  unit
 (** Update one file-map slot (a record handle or a negative flag) and
     recompute the entry's page count.  File maps store 18-bit record
     handles so a page's record can live on any pack during relocation

@@ -37,8 +37,8 @@ type t
 
 val create :
   ?choice:Multics_choice.Choice.t ->
-  machine:Multics_hw.Machine.t -> meter:Meter.t -> tracer:Tracer.t ->
-  core:Core_segment.t -> n_vps:int -> unit -> t
+  machine:Multics_hw.Machine.t -> meter:Meter.t -> core:Core_segment.t ->
+  n_vps:int -> unit -> t
 (** [choice] (default inert) governs which ready VP a free CPU
     dispatches — the affinity-then-round-robin scan under the inert
     strategy, a strategy-picked ready VP (domain ["vp.dispatch"],

@@ -1,23 +1,7 @@
-module PMap = Map.Make (struct
-  type t = string * string
+type t = { declared : Graph.t; observed : (string * string * int) list }
 
-  let compare = compare
-end)
-
-type t = { declared : Graph.t; mutable calls : int PMap.t }
-
-let create ~declared = { declared; calls = PMap.empty }
-
-let record_call t ~from ~to_ =
-  if from <> to_ then
-    let count = match PMap.find_opt (from, to_) t.calls with
-      | Some c -> c
-      | None -> 0
-    in
-    t.calls <- PMap.add (from, to_) (count + 1) t.calls
-
-let observed t =
-  PMap.bindings t.calls |> List.map (fun ((f, to_), c) -> (f, to_, c))
+let create ~declared ~observed = { declared; observed }
+let observed t = t.observed
 
 type violation = { v_from : string; v_to : string; v_count : int }
 
@@ -35,15 +19,16 @@ let unexercised t =
              (fun k -> k = Dep_kind.Component || k = Dep_kind.Explicit_call)
              ks
          in
-         if callable && not (PMap.mem (from, to_) t.calls) then Some (from, to_)
-         else None)
+         let called =
+           List.exists (fun (f, t', _) -> f = from && t' = to_) t.observed
+         in
+         if callable && not called then Some (from, to_) else None)
 
 let conforms t = violations t = []
 
 let report ppf t =
-  let obs = observed t in
   Format.fprintf ppf "conformance: %d distinct call edges observed@."
-    (List.length obs);
+    (List.length t.observed);
   match violations t with
   | [] ->
       Format.fprintf ppf "  all observed calls covered by declared dependencies@."

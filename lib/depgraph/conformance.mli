@@ -1,22 +1,20 @@
 (** Runtime dependency conformance.
 
     The kernel's managers declare their dependencies up front (the
-    design); a recorder traces actual cross-manager calls as they happen
-    (the implementation).  The audit compares the two: every observed
-    call edge must be covered by a declared dependency, or the
-    implementation has drifted from the auditable structure — the
-    failure mode the paper's whole methodology exists to prevent. *)
+    design); the kernel's tracer counts actual cross-manager calls as
+    they happen (the implementation).  A conformance value is a view of
+    the two: every observed call edge must be covered by a declared
+    dependency, or the implementation has drifted from the auditable
+    structure — the failure mode the paper's whole methodology exists to
+    prevent. *)
 
 type t
 
-val create : declared:Graph.t -> t
-
-val record_call : t -> from:string -> to_:string -> unit
-(** Note an actual call from manager [from] into manager [to_].
-    Self-calls are ignored. *)
+val create : declared:Graph.t -> observed:(string * string * int) list -> t
+(** [observed] lists distinct call edges [(from, to_, count)], sorted by
+    [(from, to_)]. *)
 
 val observed : t -> (string * string * int) list
-(** Distinct observed edges with call counts, sorted. *)
 
 type violation = { v_from : string; v_to : string; v_count : int }
 

@@ -62,7 +62,7 @@ let boot cfg =
   let st =
     { machine;
       meter = K.Meter.create ();
-      tracer = K.Tracer.create ();
+      shared = Dg.Graph.create ~name:"legacy supervisor (observed)" ();
       ast =
         Array.init cfg.ast_slots (fun i ->
             { oe_index = i; oe_uid = -1; oe_pack = 0; oe_vtoc = 0;
@@ -507,12 +507,7 @@ let run_to_completion ?(max_events = 2_000_000) t =
 
 let proc_state t pid = (proc t pid).op_state
 
-let observed_graph t =
-  let g = Dg.Graph.create ~name:"legacy supervisor (observed)" () in
-  List.iter
-    (fun (from, to_, _count) -> Dg.Graph.add_edge g ~from ~to_ Dg.Dep_kind.Shared_data)
-    (K.Tracer.observed t.st.tracer);
-  g
+let observed_graph t = Dg.Graph.copy t.st.shared
 
 let pp_report ppf t =
   let s = t.st.stats in

@@ -91,7 +91,7 @@ type stats = {
 type state = {
   machine : Hw.Machine.t;
   meter : K.Meter.t;
-  tracer : K.Tracer.t;
+  shared : Multics_depgraph.Graph.t;
   ast : ast_entry array;
   pt_words : int;
   frames : frame_entry array;
@@ -118,4 +118,6 @@ let fresh_uid t =
 
 let charge_asm t ~manager ns = K.Meter.charge t.meter ~manager K.Cost.Asm ns
 let charge_pl1 t ~manager ns = K.Meter.charge t.meter ~manager K.Cost.Pl1 ns
-let share t ~from ~to_ = K.Tracer.call t.tracer ~from ~to_
+let share t ~from ~to_ =
+  Multics_depgraph.Graph.add_edge t.shared ~from ~to_
+    Multics_depgraph.Dep_kind.Shared_data

@@ -10,7 +10,7 @@
     superficial structure of Figure 2 and finds exactly the paper's
     extra edges.
 
-    The legacy supervisor reuses the cost model, meter, tracer, ACLs and
+    The legacy supervisor reuses the cost model, meter, ACLs and
     workload definitions of [multics_kernel] — instruments, not kernel
     structure — and runs on the legacy hardware configuration (no
     descriptor lock bit, no quota-fault bit, single DBR). *)
@@ -110,7 +110,8 @@ type stats = {
 type state = {
   machine : Multics_hw.Machine.t;
   meter : K.Meter.t;
-  tracer : K.Tracer.t;
+  shared : Multics_depgraph.Graph.t;
+      (** every sharing edge observed so far, as [Shared_data] *)
   ast : ast_entry array;
   pt_words : int;
   frames : frame_entry array;
@@ -139,4 +140,4 @@ val charge_asm : state -> manager:string -> int -> unit
 
 val charge_pl1 : state -> manager:string -> int -> unit
 val share : state -> from:string -> to_:string -> unit
-(** Record a shared-data or call dependency edge. *)
+(** Record a shared-data dependency edge in [shared]. *)

@@ -9,6 +9,9 @@ module Aim = Multics_aim
 
 let check = Alcotest.check
 
+(* Tests reach the managers the way user code does: through the gate. *)
+let caller = K.Registry.gate
+
 let low = Aim.Label.system_low
 let open_acl = [ K.Acl.entry "*" K.Acl.rwe ]
 let root_only = [ K.Acl.entry "root" K.Acl.rwe ]
@@ -178,7 +181,7 @@ let test_path_cache_delete () =
   let inv0 = K.Name_space.cache_invalidations ns in
   let sub = dir_uid k ">home>sub" in
   (match
-     K.Directory.delete_entry (K.Kernel.directory k) ~caller:"test"
+     K.Directory.delete_entry (K.Kernel.directory k) ~caller
        ~subject:K.Kernel.root_subject ~dir_uid:sub ~name:"f"
    with
   | Ok () -> ()
@@ -202,7 +205,7 @@ let test_path_cache_acl () =
   let sub = dir_uid k ">home>sub" in
   let set_acl acl =
     match
-      K.Directory.set_acl (K.Kernel.directory k) ~caller:"test"
+      K.Directory.set_acl (K.Kernel.directory k) ~caller
         ~subject:K.Kernel.root_subject ~dir_uid:sub ~name:"f" ~acl
     with
     | Ok () -> ()
@@ -325,7 +328,7 @@ let run_mix config =
   let completed = K.Kernel.run_to_completion k in
   let names =
     match
-      K.Directory.list_names (K.Kernel.directory k) ~caller:"test"
+      K.Directory.list_names (K.Kernel.directory k) ~caller
         ~subject:K.Kernel.root_subject
         ~dir_uid:(dir_uid k ">home")
     with

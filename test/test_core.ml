@@ -7,6 +7,9 @@ module Dg = Multics_depgraph
 
 let check = Alcotest.check
 
+(* Tests reach the managers the way user code does: through the gate. *)
+let caller = K.Registry.gate
+
 let low = Aim.Label.system_low
 let secret = Aim.Label.make Aim.Level.secret Aim.Compartment.empty
 let open_acl = [ K.Acl.entry "*" K.Acl.rwe ]
@@ -41,7 +44,7 @@ let test_declared_graph_loop_free () =
   match Dg.Graph.layers g with
   | Some (bottom :: _) ->
       check Alcotest.bool "csm at bottom" true
-        (List.mem K.Registry.core_segment_manager bottom)
+        (List.mem K.Registry.(name core_segment_manager) bottom)
   | _ -> Alcotest.fail "expected layers"
 
 (* ------------------------------------------------------------------ *)
@@ -241,7 +244,7 @@ let test_mythical_search () =
   let root = K.Directory.root_uid dm in
   let private_uid =
     match
-      K.Directory.search dm ~caller:"test" ~subject:bob ~dir_uid:root
+      K.Directory.search dm ~caller ~subject:bob ~dir_uid:root
         ~name:"private"
     with
     | `Found uid -> uid
@@ -250,7 +253,7 @@ let test_mythical_search () =
   (* Bob searches the inaccessible directory: always "found". *)
   let probe name =
     match
-      K.Directory.search dm ~caller:"test" ~subject:bob ~dir_uid:private_uid
+      K.Directory.search dm ~caller ~subject:bob ~dir_uid:private_uid
         ~name
     with
     | `Found uid -> uid
@@ -266,14 +269,14 @@ let test_mythical_search () =
   check Alcotest.bool "mythical ids are stable" true (K.Ids.equal myth1 myth2);
   (* A mythical id is accepted as a directory to search. *)
   (match
-     K.Directory.search dm ~caller:"test" ~subject:bob ~dir_uid:myth1
+     K.Directory.search dm ~caller ~subject:bob ~dir_uid:myth1
        ~name:"deeper"
    with
   | `Found uid -> check Alcotest.bool "nested mythical" true (K.Ids.is_mythical uid)
   | `No_entry -> Alcotest.fail "mythical directories always match");
   (* Initiating through a mythical id: indistinguishable "no access". *)
   (match
-     K.Directory.initiate_target dm ~caller:"test" ~subject:bob
+     K.Directory.initiate_target dm ~caller ~subject:bob
        ~dir_uid:myth1 ~name:"anything"
    with
   | Error `No_access -> ()
@@ -287,7 +290,7 @@ let test_readable_directory_says_no_entry () =
   let alice = subject_of_user "alice" in
   let root = K.Directory.root_uid dm in
   match
-    K.Directory.search dm ~caller:"test" ~subject:alice ~dir_uid:root
+    K.Directory.search dm ~caller ~subject:alice ~dir_uid:root
       ~name:"nonexistent"
   with
   | `No_entry -> ()
@@ -331,14 +334,14 @@ let test_aim_secret_can_read_down_not_write () =
   let root = K.Directory.root_uid dm in
   let pub =
     match
-      K.Directory.search dm ~caller:"test" ~subject:secret_subject
+      K.Directory.search dm ~caller ~subject:secret_subject
         ~dir_uid:root ~name:"pub"
     with
     | `Found uid -> uid
     | `No_entry -> Alcotest.fail "pub exists"
   in
   match
-    K.Directory.initiate_target dm ~caller:"test" ~subject:secret_subject
+    K.Directory.initiate_target dm ~caller ~subject:secret_subject
       ~dir_uid:pub ~name:"memo"
   with
   | Error `No_access -> Alcotest.fail "read down must be allowed"
@@ -413,27 +416,27 @@ let test_transit_join () =
   in
   let slot =
     match
-      K.Segment.activate sm ~caller:"test" ~uid:target.K.Directory.t_uid
+      K.Segment.activate sm ~caller ~uid:target.K.Directory.t_uid
         ~cell:target.K.Directory.t_cell
     with
     | Ok s -> s
     | Error _ -> Alcotest.fail "activate"
   in
-  (match K.Segment.grow sm ~caller:"test" ~slot ~pageno:0 with
+  (match K.Segment.grow sm ~caller ~slot ~pageno:0 with
   | Ok () -> ()
   | Error _ -> Alcotest.fail "grow");
   (* Write data then force it out so the page has a record on disk. *)
-  (match K.Segment.write_word sm ~caller:"test" ~slot ~pageno:0 ~offset:0 77 with
+  (match K.Segment.write_word sm ~caller ~slot ~pageno:0 ~offset:0 77 with
   | Ok () -> ()
   | Error _ -> Alcotest.fail "write");
   let ptw_abs = K.Segment.ptw_abs sm ~slot ~pageno:0 in
-  (match K.Page_frame.flush_page pfm ~caller:"test" ~ptw_abs with
+  (match K.Page_frame.flush_page pfm ~caller ~ptw_abs with
   | `Written_to _ -> ()
   | _ -> Alcotest.fail "expected write-back");
   (* First faulter starts the read... *)
-  let w1 = K.Page_frame.service_missing_page pfm ~caller:"test" ~ptw_abs in
+  let w1 = K.Page_frame.service_missing_page pfm ~caller ~ptw_abs in
   (* ...second faulter (other processor hit the locked descriptor). *)
-  let w2 = K.Page_frame.service_locked_descriptor pfm ~caller:"test" ~ptw_abs in
+  let w2 = K.Page_frame.service_locked_descriptor pfm ~caller ~ptw_abs in
   (match (w1, w2) with
   | K.Page_frame.Wait (ec1, v1), K.Page_frame.Wait (ec2, v2) ->
       check Alcotest.bool "same transit" true (ec1 == ec2 && v1 = v2)
@@ -443,12 +446,12 @@ let test_transit_join () =
   let ptw = Hw.Ptw.read (K.Kernel.machine k).Hw.Machine.mem ptw_abs in
   check Alcotest.bool "present after io" true ptw.Hw.Ptw.present;
   check Alcotest.bool "unlocked after io" false ptw.Hw.Ptw.locked;
-  (match K.Page_frame.service_locked_descriptor pfm ~caller:"test" ~ptw_abs with
+  (match K.Page_frame.service_locked_descriptor pfm ~caller ~ptw_abs with
   | K.Page_frame.Retry -> ()
   | K.Page_frame.Wait _ -> Alcotest.fail "stale lock should retry"
   | K.Page_frame.Damaged _ -> Alcotest.fail "page should not be damaged");
   (* The word survived the round trip. *)
-  match K.Segment.read_word sm ~caller:"test" ~slot ~pageno:0 ~offset:0 with
+  match K.Segment.read_word sm ~caller ~slot ~pageno:0 ~offset:0 with
   | Ok w -> check Alcotest.int "data intact" 77 w
   | Error _ -> Alcotest.fail "read back"
 

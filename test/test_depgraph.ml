@@ -173,11 +173,12 @@ let test_fig4_blanket_rules () =
 let test_conformance () =
   let declared = Dg.Graph.create () in
   Dg.Graph.add_edge declared ~from:"seg" ~to_:"page" Dg.Dep_kind.Component;
-  let c = Dg.Conformance.create ~declared in
-  Dg.Conformance.record_call c ~from:"seg" ~to_:"page";
-  Dg.Conformance.record_call c ~from:"seg" ~to_:"page";
+  let c = Dg.Conformance.create ~declared ~observed:[ ("seg", "page", 2) ] in
   check Alcotest.bool "conforms" true (Dg.Conformance.conforms c);
-  Dg.Conformance.record_call c ~from:"page" ~to_:"seg";
+  let c =
+    Dg.Conformance.create ~declared
+      ~observed:[ ("page", "seg", 1); ("seg", "page", 2) ]
+  in
   check Alcotest.bool "violation found" false (Dg.Conformance.conforms c);
   match Dg.Conformance.violations c with
   | [ v ] ->
@@ -190,7 +191,7 @@ let test_conformance_unexercised () =
   let declared = Dg.Graph.create () in
   Dg.Graph.add_edge declared ~from:"a" ~to_:"b" Dg.Dep_kind.Component;
   Dg.Graph.add_edge declared ~from:"a" ~to_:"c" Dg.Dep_kind.Address_space;
-  let c = Dg.Conformance.create ~declared in
+  let c = Dg.Conformance.create ~declared ~observed:[] in
   (* Structural (address-space) edges are not expected as calls. *)
   check
     (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.string))

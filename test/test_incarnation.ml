@@ -8,6 +8,9 @@ module Aim = Multics_aim
 
 let check = Alcotest.check
 
+(* Tests reach the managers the way user code does: through the gate. *)
+let caller = K.Registry.gate
+
 let low = Aim.Label.system_low
 let secret = Aim.Label.make Aim.Level.secret Aim.Compartment.empty
 let open_acl = [ K.Acl.entry "*" K.Acl.rwe ]
@@ -92,13 +95,13 @@ let test_data_survives () =
   let sm = K.Kernel.segment k2 in
   let slot =
     match
-      K.Segment.activate sm ~caller:"test" ~uid:target.K.Directory.t_uid
+      K.Segment.activate sm ~caller ~uid:target.K.Directory.t_uid
         ~cell:target.K.Directory.t_cell
     with
     | Ok s -> s
     | Error _ -> Alcotest.fail "activate"
   in
-  match K.Segment.read_word sm ~caller:"test" ~slot ~pageno:1 ~offset:0 with
+  match K.Segment.read_word sm ~caller ~slot ~pageno:1 ~offset:0 with
   | Ok w -> check Alcotest.bool "old incarnation's data" true (w <> 0)
   | Error _ -> Alcotest.fail "read"
 

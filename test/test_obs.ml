@@ -214,9 +214,11 @@ let test_meter_snapshot_diff () =
 
 let test_tracer_deterministic () =
   let tr = K.Tracer.create () in
-  K.Tracer.call tr ~from:"gate" ~to_:"pfm";
-  K.Tracer.call tr ~from:"gate" ~to_:"pfm";
-  K.Tracer.call tr ~from:"dir" ~to_:"seg";
+  let open K.Registry in
+  K.Tracer.call tr ~from:gate ~to_:page_frame_manager;
+  K.Tracer.call tr ~from:gate ~to_:page_frame_manager;
+  K.Tracer.call tr ~from:directory_manager ~to_:segment_manager;
+  K.Tracer.call tr ~from:gate ~to_:gate;
   let buf = Obs.Trace_buf.create ~capacity:64 () in
   K.Tracer.to_trace_buf tr ~now:99 ~buf;
   let names =
@@ -230,8 +232,32 @@ let test_tracer_deterministic () =
   check
     Alcotest.(list (pair string int))
     "edges bridged in order"
-    [ ("dir->seg", 1); ("gate->pfm", 2) ]
+    [ ("directory_manager->segment_manager", 1);
+      ("gate->page_frame_manager", 2) ]
     names
+
+(* Counting a call edge is one array increment: 10 000 calls allocate
+   exactly what an empty loop does.  (The kernel keeps its tracer
+   private; [Kernel.boot] builds it with this same [Tracer.create].) *)
+let test_tracer_call_alloc_free () =
+  let tr = K.Tracer.create () in
+  let ms =
+    K.Registry.
+      [| gate; segment_manager; page_frame_manager; disk_pack_manager |]
+  in
+  let words n =
+    let before = Gc.minor_words () in
+    for i = 1 to n do
+      K.Tracer.call tr ~from:ms.(i land 3) ~to_:ms.((i + 1) land 3)
+    done;
+    Gc.minor_words () -. before
+  in
+  ignore (words 4);
+  let empty = words 0 in
+  let calls = words 10_000 in
+  check (Alcotest.float 0.) "words per call" 0. ((calls -. empty) /. 10_000.);
+  check Alcotest.int "every call counted" 10_004
+    (List.fold_left (fun acc (_, _, c) -> acc + c) 0 (K.Tracer.observed tr))
 
 (* ------------------------------------------------------------------ *)
 (* The tentpole invariant: booting with tracing Off and Full runs the
@@ -530,6 +556,8 @@ let tests =
     Alcotest.test_case "meter snapshot diff" `Quick test_meter_snapshot_diff;
     Alcotest.test_case "tracer deterministic + bridge" `Quick
       test_tracer_deterministic;
+    Alcotest.test_case "tracer call allocation-free" `Quick
+      test_tracer_call_alloc_free;
     Alcotest.test_case "trace off/on clock equality" `Quick
       test_trace_clock_neutral;
     Alcotest.test_case "ctx alloc-free when off" `Quick

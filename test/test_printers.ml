@@ -84,7 +84,6 @@ let report_golden =
   caches:
     sdw_am            208 hits        9 misses     26 invalidations (95.9% hit)
     pathname            2 hits        6 misses      2 invalidations (25.0% hit)
-    read_ahead         17 hits        0 misses     50 invalidations (100.0% hit)
   latency histograms (simulated ns):
     gate.call                          15 samples  p50          0  p95          0  max          0
     vp.step                           305 samples  p50       8191  p95      65535  max      75662

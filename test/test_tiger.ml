@@ -11,6 +11,9 @@ module Aim = Multics_aim
 
 let check = Alcotest.check
 
+(* Tests reach the managers the way user code does: through the gate. *)
+let caller = K.Registry.gate
+
 let low = Aim.Label.system_low
 let secret = Aim.Label.make Aim.Level.secret Aim.Compartment.empty
 let open_acl = [ K.Acl.entry "*" K.Acl.rwe ]
@@ -90,7 +93,7 @@ let attack_name_probing () =
   in
   let vault =
     match
-      K.Directory.search dm ~caller:"tiger" ~subject:mallory
+      K.Directory.search dm ~caller ~subject:mallory
         ~dir_uid:(K.Directory.root_uid dm) ~name:"vault"
     with
     | `Found uid -> uid
@@ -101,12 +104,12 @@ let attack_name_probing () =
   let outcomes =
     List.map
       (fun name ->
-        match K.Directory.search dm ~caller:"tiger" ~subject:mallory
+        match K.Directory.search dm ~caller ~subject:mallory
                 ~dir_uid:vault ~name
         with
         | `Found uid -> (
             match
-              K.Directory.initiate_target dm ~caller:"tiger" ~subject:mallory
+              K.Directory.initiate_target dm ~caller ~subject:mallory
                 ~dir_uid:vault ~name
             with
             | Error `No_access -> ("found/no-access", K.Ids.is_mythical uid)

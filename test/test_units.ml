@@ -6,6 +6,9 @@ module Hw = Multics_hw
 module Sync = Multics_sync
 
 let check = Alcotest.check
+
+(* Tests reach the managers the way user code does: through the gate. *)
+let caller = K.Registry.gate
 let qcheck t = QCheck_alcotest.to_alcotest t
 
 (* ------------------------------------------------------------------ *)
@@ -164,22 +167,22 @@ let test_quota_cell_lifecycle () =
   ignore machine;
   let uid = K.Ids.generator () () in
   let index =
-    K.Volume.create_segment volume ~caller:"test" ~uid ~pack:0
+    K.Volume.create_segment volume ~caller ~uid ~pack:0
       ~is_directory:true ~label:0 ()
   in
   let cell =
-    K.Quota_cell.register quota ~caller:"test" ~pack:0 ~vtoc_index:index
+    K.Quota_cell.register quota ~caller ~pack:0 ~vtoc_index:index
       ~limit:10 ~used:0
   in
   check Alcotest.bool "charge ok" true
-    (Result.is_ok (K.Quota_cell.charge quota ~caller:"test" cell 8));
+    (Result.is_ok (K.Quota_cell.charge quota ~caller cell 8));
   check Alcotest.bool "over refused" true
-    (Result.is_error (K.Quota_cell.charge quota ~caller:"test" cell 3));
-  K.Quota_cell.uncharge quota ~caller:"test" cell 4;
+    (Result.is_error (K.Quota_cell.charge quota ~caller cell 3));
+  K.Quota_cell.uncharge quota ~caller cell 4;
   check Alcotest.int "used" 4 (K.Quota_cell.used quota cell);
   (* sync persists into the VTOC entry *)
-  K.Quota_cell.sync quota ~caller:"test" cell;
-  let vtoc = K.Volume.vtoc volume ~caller:"test" ~pack:0 ~index in
+  K.Quota_cell.sync quota ~caller cell;
+  let vtoc = K.Volume.vtoc volume ~caller ~pack:0 ~index in
   (match vtoc.Hw.Disk.quota with
   | Some q ->
       check Alcotest.int "persisted used" 4 q.Hw.Disk.used;
@@ -187,9 +190,9 @@ let test_quota_cell_lifecycle () =
   | None -> Alcotest.fail "expected persisted quota");
   (* re-registration returns the same handle *)
   check Alcotest.int "re-register" cell
-    (K.Quota_cell.register quota ~caller:"test" ~pack:0 ~vtoc_index:index
+    (K.Quota_cell.register quota ~caller ~pack:0 ~vtoc_index:index
        ~limit:99 ~used:99);
-  K.Quota_cell.unregister quota ~caller:"test" cell;
+  K.Quota_cell.unregister quota ~caller cell;
   Alcotest.check_raises "stale handle"
     (Invalid_argument (Printf.sprintf "Quota_cell: stale handle %d" cell))
     (fun () -> ignore (K.Quota_cell.used quota cell))
@@ -200,22 +203,22 @@ let test_quota_cell_move () =
   let mk limit =
     let uid = fresh () in
     let index =
-      K.Volume.create_segment volume ~caller:"test" ~uid ~pack:0
+      K.Volume.create_segment volume ~caller ~uid ~pack:0
         ~is_directory:true ~label:0 ()
     in
-    K.Quota_cell.register quota ~caller:"test" ~pack:0 ~vtoc_index:index
+    K.Quota_cell.register quota ~caller ~pack:0 ~vtoc_index:index
       ~limit ~used:0
   in
   let parent = mk 20 and child = mk 0 in
   check Alcotest.bool "move ok" true
-    (Result.is_ok (K.Quota_cell.move_quota quota ~caller:"test" ~from:parent ~to_:child 8));
+    (Result.is_ok (K.Quota_cell.move_quota quota ~caller ~from:parent ~to_:child 8));
   check Alcotest.int "parent limit" 12 (K.Quota_cell.limit quota parent);
   check Alcotest.int "child limit" 8 (K.Quota_cell.limit quota child);
   (* cannot move limit out from under recorded usage *)
-  ignore (K.Quota_cell.charge quota ~caller:"test" parent 10);
+  ignore (K.Quota_cell.charge quota ~caller parent 10);
   check Alcotest.bool "refused" true
     (Result.is_error
-       (K.Quota_cell.move_quota quota ~caller:"test" ~from:parent ~to_:child 5))
+       (K.Quota_cell.move_quota quota ~caller ~from:parent ~to_:child 5))
 
 let prop_quota_invariant =
   QCheck.Test.make ~name:"quota cell: 0 <= used <= limit always" ~count:200
@@ -224,17 +227,17 @@ let prop_quota_invariant =
       let _machine, volume, quota = quota_fixture () in
       let uid = K.Ids.generator () () in
       let index =
-        K.Volume.create_segment volume ~caller:"t" ~uid ~pack:0
+        K.Volume.create_segment volume ~caller ~uid ~pack:0
           ~is_directory:true ~label:0 ()
       in
       let cell =
-        K.Quota_cell.register quota ~caller:"t" ~pack:0 ~vtoc_index:index
+        K.Quota_cell.register quota ~caller ~pack:0 ~vtoc_index:index
           ~limit:10 ~used:0
       in
       List.for_all
         (fun (is_charge, n) ->
-          (if is_charge then ignore (K.Quota_cell.charge quota ~caller:"t" cell n)
-           else K.Quota_cell.uncharge quota ~caller:"t" cell n);
+          (if is_charge then ignore (K.Quota_cell.charge quota ~caller cell n)
+           else K.Quota_cell.uncharge quota ~caller cell n);
           let used = K.Quota_cell.used quota cell in
           used >= 0 && used <= 10)
         ops)
@@ -294,9 +297,8 @@ let vp_fixture () =
     Hw.Machine.create (Hw.Hw_config.with_frames Hw.Hw_config.kernel_multics 16)
   in
   let meter = K.Meter.create () in
-  let tracer = K.Tracer.create () in
   let core = K.Core_segment.create ~machine ~meter ~reserved_frames:4 in
-  let vp = K.Vp.create ~machine ~meter ~tracer ~core ~n_vps:3 () in
+  let vp = K.Vp.create ~machine ~meter ~core ~n_vps:3 () in
   (machine, vp)
 
 let test_vp_run_and_stop () =
